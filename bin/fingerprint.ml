@@ -1,7 +1,8 @@
 (* Deterministic behavioral fingerprint of the simulator.
 
    Runs the five applications across every detection backend (and every
-   RT trapping organization) and prints the simulated elapsed time plus
+   RT trapping organization), plus the untargetted model and the adaptive
+   per-region election on a few of them, and prints the simulated elapsed time plus
    every per-processor counter, one line per processor.  The output is a
    pure function of the simulated machine: any host-side optimization of
    the simulator's hot paths must leave it byte-identical.
@@ -106,4 +107,23 @@ let () =
   print_outcome "quicksort/blast"
     (Midway_report.Suite.run_app Midway_report.Suite.Quicksort
        (Config.make Config.Blast ~nprocs)
-       ~scale)
+       ~scale);
+  (* Configurations that exercise the untargetted whole-space scan and the
+     per-region backend switch of lock-bound regions. *)
+  List.iter
+    (fun mode ->
+      print_outcome
+        ("matrix/rt-untargetted-" ^ Config.rt_mode_name mode)
+        (Midway_report.Suite.run_app Midway_report.Suite.Matmul
+           { (Config.make Config.Rt ~nprocs) with Config.untargetted = true; rt_mode = mode }
+           ~scale))
+    [ Config.Plain; Config.Update_queue ];
+  let adaptive backend = { (Config.make backend ~nprocs) with Config.adaptive = true } in
+  List.iter
+    (fun app ->
+      print_outcome
+        (Midway_report.Suite.app_name app ^ "/vm-adaptive")
+        (Midway_report.Suite.run_app app (adaptive Config.Vm) ~scale))
+    [ Midway_report.Suite.Quicksort; Midway_report.Suite.Cholesky ];
+  print_outcome "hybrid/rt-adaptive"
+    (Midway_apps.Hybrid.run (adaptive Config.Rt) Midway_apps.Hybrid.default)
