@@ -251,7 +251,7 @@ let crash_spec =
     value & opt (some string) None
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
-          "Arm node-level faults: scripted ($(i,stop\\@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
+          "Arm node-level faults: scripted ($(i,stop@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
            the store's buckets fail over by majority quorum and the oracle checks the \
            survivors' view.")
 

@@ -107,7 +107,13 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
     match crash_plan with None -> cfg | Some plan -> Midway.Config.with_crash plan cfg
   in
   let t0 = Unix.gettimeofday () in
-  let outcome = Midway_report.Suite.run_app app cfg ~scale in
+  let outcome =
+    (* A configuration the runtime refuses at construction: say why. *)
+    try Midway_report.Suite.run_app app cfg ~scale
+    with Invalid_argument msg ->
+      Printf.eprintf "midway-run: %s\n" msg;
+      exit 2
+  in
   let host = Unix.gettimeofday () -. t0 in
   Format.printf "%a@.@." Midway_apps.Outcome.pp outcome;
   print_stats outcome;
@@ -213,7 +219,7 @@ let crash_spec =
     value & opt (some string) None
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
-          "Arm node-level faults: scripted ($(i,stop\\@2ms:p1,recover\\@8ms:p1)) or seeded \
+          "Arm node-level faults: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded \
            ($(i,n=2,seed=7)).  Crashed processors' locks fail over to live peers by majority \
            quorum; the run completes with the survivors and reports failovers and \
            availability.")

@@ -144,18 +144,12 @@ type t = {
   adaptive : bool;
       (** arm the online per-region backend controller ({!Policy}): at
           every release whose lock has no other holders, the policy may
-          re-elect the detection backend of the regions the lock binds,
-          using the same quantities the lib/obs metrics export (dirty
+          re-elect the detection backend of the regions the lock binds
+          (never a region a data-carrying barrier binds), using the same quantities the lib/obs metrics export (dirty
           bytes per collect, trap counts, fault counts, re-binding
           rate).  [false] (the default) never switches, so runs are
           bit-identical to a fixed-backend build — the same
           off-is-invisible contract as [ecsan] / [faults] / [obs]. *)
-  striped : backend option;
-      (** [Some b]: shared regions alternate between [backend] (even
-          allocation ordinals) and [b] (odd ordinals) at creation, a
-          static mixed-backend machine — the per-region dispatch test
-          rig.  [None] (the default) gives every region [backend],
-          which is the bit-identical degenerate case. *)
 }
 
 val make : ?cost:Midway_stats.Cost_model.t -> backend -> nprocs:int -> t

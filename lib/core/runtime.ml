@@ -9,30 +9,15 @@ module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
 module Metrics = Midway_obs.Metrics
 
-type backend_state =
-  | B_rt of Dirtybits.t
-  | B_vm of Vm_state.t
-  | B_twin of Twin_state.t  (* section 3.5: no detection, diff everything bound *)
-  | B_vmfine of Vm_state.t * Dirtybits.t
-      (* section 3.4's rejected variant: VM trapping feeding an RT-style
-         per-line timestamp history *)
-  | B_none  (* blast and standalone: no write detection *)
-
 type ctx = {
   cid : int;
   machine : t;
   proc : Engine.proc;
   counters : Counters.t;
-  mutable lamport : int;
-  mutable rt_global_seen : Timestamp.t;  (* untargetted mode: everything-consistent-as-of cursor *)
-  backend : backend_state;  (* the machine-default detection state *)
-  (* Lazily created alternate detection states, used by regions elected
-     away from the machine default (hybrid write detection).  A fixed
-     configuration never touches them. *)
-  mutable alt_rt : Dirtybits.t option;
-  mutable alt_vm : Vm_state.t option;
-  mutable alt_twin : Twin_state.t option;
-  gather : Gather.t;  (* reusable run buffer for write collection *)
+  det : Detector.proc;  (* what this processor's detectors share *)
+  mutable detectors : (Config.backend * Detector.t) list;
+      (* one instance per backend in use here, created on first use; the
+         machine default first *)
   check : Midway_check.Check.t option;  (* ECSan, when cfg.ecsan *)
 }
 
@@ -54,20 +39,15 @@ and t = {
          then goes through the ack/retransmission channel *)
   crash : crash_state option;
   mutable ctxs : ctx array;  (* filled right after construction *)
-  rt_untargetted_history : (int, Timestamp.t) Hashtbl.t;
-      (* untargetted update-queue mode: global line -> stamp history *)
+  env : Detector.env;  (* what every detector shares: Lamport clocks, untargetted cursors *)
   trace : Trace.t;
   mutable locks : Sync.lock list;
   mutable barriers : Sync.barrier list;
   mutable next_sync_id : int;
   mutable ran : bool;
   (* --- per-region backend election (hybrid write detection) --- *)
-  mutable region_backend : Config.backend option array;
-      (* by region index; [None] means the machine default.  Only
-         consulted when [mixed] is set, so fixed configurations take the
-         exact pre-hybrid code path. *)
-  mutable mixed : bool;  (* some region's backend differs from the default *)
-  mutable striped_ord : int;  (* shared regions assigned under cfg.striped *)
+  mutable region_backend : Config.backend array;
+      (* by region index; regions past the end run the machine default *)
   mutable switches : int;  (* backend switches committed so far *)
   region_ns : (int, int) Hashtbl.t;
       (* region index -> collect+apply ns attributed to transfers of
@@ -83,27 +63,17 @@ and t = {
          pre-obs code path. *)
 }
 
-let electable = function
-  | Config.Rt | Config.Vm | Config.Twin | Config.Blast -> true
-  | Config.Vm_fine | Config.Standalone -> false
-
 let create (cfg : Config.t) =
   if cfg.backend = Config.Standalone && cfg.nprocs > 1 then
     invalid_arg "Runtime.create: the standalone backend is uniprocessor only";
   if cfg.untargetted && cfg.backend <> Config.Rt then
     invalid_arg "Runtime.create: the untargetted model is implemented for the RT backend only";
-  if (cfg.adaptive || cfg.striped <> None) && cfg.untargetted then
+  if cfg.adaptive && cfg.untargetted then
     invalid_arg
       "Runtime.create: per-region backends need targetted bindings (untargetted consistency \
        is machine-wide by construction)";
   if cfg.adaptive && not (cfg.backend = Config.Rt || cfg.backend = Config.Vm) then
     invalid_arg "Runtime.create: adaptive elects between rt and vm; start from one of them";
-  (match cfg.striped with
-  | Some alt when not (electable alt && electable cfg.backend) ->
-      invalid_arg
-        "Runtime.create: striped regions need per-region electable backends \
-         (rt|vm|twin|blast) on both sides"
-  | _ -> ());
   let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
   let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
   let net =
@@ -203,15 +173,13 @@ let create (cfg : Config.t) =
             })
           cfg.crash;
       ctxs = [||];
-      rt_untargetted_history = Hashtbl.create 64;
+      env = Detector.env cfg space ~guard_stale:(reliable <> None);
       trace;
       locks = [];
       barriers = [];
       next_sync_id = 0;
       ran = false;
-      region_backend = Array.make 16 None;
-      mixed = false;
-      striped_ord = 0;
+      region_backend = Array.make 16 cfg.backend;
       switches = 0;
       region_ns = Hashtbl.create 16;
       policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
@@ -221,27 +189,15 @@ let create (cfg : Config.t) =
   in
   machine.ctxs <-
     Array.init cfg.nprocs (fun cid ->
+        let counters = Counters.create () in
+        let det = Detector.proc machine.env ~id:cid ~counters in
         {
           cid;
           machine;
           proc = Engine.proc engine cid;
-          counters = Counters.create ();
-          lamport = 1;
-          rt_global_seen = Timestamp.never_seen;
-          backend =
-            (match cfg.backend with
-            | Config.Rt -> B_rt (Dirtybits.create ~mode:cfg.rt_mode ~group:cfg.two_level_group)
-            | Config.Vm -> B_vm (Vm_state.create ~page_size:cfg.cost.page_size)
-            | Config.Twin -> B_twin (Twin_state.create ())
-            | Config.Vm_fine ->
-                B_vmfine
-                  ( Vm_state.create ~page_size:cfg.cost.page_size,
-                    Dirtybits.create ~mode:Config.Plain ~group:cfg.two_level_group )
-            | Config.Blast | Config.Standalone -> B_none);
-          alt_rt = None;
-          alt_vm = None;
-          alt_twin = None;
-          gather = Gather.create ();
+          counters;
+          det;
+          detectors = [ (cfg.backend, Detector.create det cfg.backend) ];
           check;
         });
   machine
@@ -265,22 +221,13 @@ let lock_label p lid = Printf.sprintf "p%d/lock%d" p lid
 
 let barrier_label p bid = Printf.sprintf "p%d/barrier%d" p bid
 
-(* The RT "diff" is the dirtybit scan; VM and twin diff against pages or
-   twins.  The note distinguishes them in an exported trace. *)
-let diff_note = function
-  | B_rt _ -> "dirtybit scan"
-  | B_vm _ -> "page diff"
-  | B_twin _ -> "twin compare"
-  | B_vmfine _ -> "page diff + dirtybit scan"
-  | B_none -> "no detection"
-
 (* ------------------------------------------------------------------ *)
 (* Per-region backend election (hybrid write detection)                *)
 (*                                                                     *)
-(* Each lock-bound region carries its own detection choice.  The       *)
-(* machine default (cfg.backend) is the degenerate case: [mixed] stays *)
-(* false, every helper below collapses to the default in O(1), and the *)
-(* protocol runs the exact pre-hybrid code path.                       *)
+(* Each region carries its own detection choice, the machine default   *)
+(* until re-elected.  Every store, collection and apply finds its      *)
+(* detector through [detector]: fixed and re-elected regions share one *)
+(* path.                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let region_index_of t addr = addr / t.cfg.region_size
@@ -288,70 +235,50 @@ let region_index_of t addr = addr / t.cfg.region_size
 let ensure_region_slot t idx =
   let cap = Array.length t.region_backend in
   if idx >= cap then begin
-    let fresh = Array.make (max (idx + 1) (cap * 2)) None in
+    let fresh = Array.make (max (idx + 1) (cap * 2)) t.cfg.backend in
     Array.blit t.region_backend 0 fresh 0 cap;
     t.region_backend <- fresh
   end
 
 let backend_of_region t idx =
-  if (not t.mixed) || idx < 0 || idx >= Array.length t.region_backend then t.cfg.backend
-  else match t.region_backend.(idx) with Some b -> b | None -> t.cfg.backend
+  if idx < 0 || idx >= Array.length t.region_backend then t.cfg.backend
+  else Array.unsafe_get t.region_backend idx
 
-(* The detection state [c] uses for backend [b]: the machine-default
-   state when [b] is the default, a lazily created alternate otherwise.
-   One state per backend serves every region elected to it — the states
-   are address-keyed internally, and a switch resets the region's slice
-   of each (see [switch_region_backend]). *)
-let state_for (c : ctx) (b : Config.backend) =
-  let cfg = c.machine.cfg in
-  if b = cfg.backend then c.backend
-  else
-    match b with
-    | Config.Rt -> (
-        match c.alt_rt with
-        | Some db -> B_rt db
-        | None ->
-            let db = Dirtybits.create ~mode:cfg.rt_mode ~group:cfg.two_level_group in
-            c.alt_rt <- Some db;
-            B_rt db)
-    | Config.Vm -> (
-        match c.alt_vm with
-        | Some vm -> B_vm vm
-        | None ->
-            let vm = Vm_state.create ~page_size:cfg.cost.page_size in
-            c.alt_vm <- Some vm;
-            B_vm vm)
-    | Config.Twin -> (
-        match c.alt_twin with
-        | Some tw -> B_twin tw
-        | None ->
-            let tw = Twin_state.create () in
-            c.alt_twin <- Some tw;
-            B_twin tw)
-    | Config.Blast -> B_none
-    | Config.Vm_fine | Config.Standalone ->
-        invalid_arg "Runtime.state_for: vm-fine and standalone are machine-wide backends"
+let rec find_detector (c : ctx) b = function
+  | (b', d) :: rest -> if b' == b then d else find_detector c b rest
+  | [] ->
+      let d = Detector.create c.det b in
+      c.detectors <- c.detectors @ [ (b, d) ];
+      d
+
+(* The instance [c] runs for backend [b].  One instance per backend
+   serves every region elected to it — the states are address-keyed
+   internally, and a switch resets the region's slice of each (see
+   [switch_region_backend]). *)
+let detector (c : ctx) b = find_detector c b c.detectors
 
 (* The backend a binding runs under: the unanimous election over the
    regions its non-empty ranges live in.  A binding spanning regions
    with *different* elections degrades to [conflict] — Blast for locks
    (whole-data copy: always correct, never clever), Twin for barriers
    (Blast cannot carry barrier-bound data). *)
-let elected_backend ?(conflict = Config.Blast) t ranges =
-  if not t.mixed then t.cfg.backend
-  else begin
-    let b = ref None and clash = ref false in
-    List.iter
-      (fun (r : Range.t) ->
-        if not (Range.is_empty r) then begin
-          let rb = backend_of_region t (region_index_of t r.Range.addr) in
-          match !b with
-          | None -> b := Some rb
-          | Some prev -> if prev <> rb then clash := true
-        end)
-      ranges;
-    if !clash then conflict else match !b with Some rb -> rb | None -> t.cfg.backend
-  end
+let rec elect t ~conflict = function
+  | [] -> t.cfg.backend
+  | (r : Range.t) :: rest ->
+      if Range.is_empty r then elect t ~conflict rest
+      else agree t ~conflict (backend_of_region t (region_index_of t r.Range.addr)) rest
+
+and agree t ~conflict b = function
+  | [] -> b
+  | (r : Range.t) :: rest ->
+      if Range.is_empty r || backend_of_region t (region_index_of t r.Range.addr) == b then
+        agree t ~conflict b rest
+      else conflict
+
+let elected_backend ?(conflict = Config.Blast) t ranges = elect t ~conflict ranges
+
+let barrier_detector c (b : Sync.barrier) =
+  detector c (elected_backend ~conflict:Config.Twin c.machine b.Sync.branges)
 
 (* Host-side per-region time accounting: mirrors every increment of the
    per-processor [collect_time_ns] counters, attributed to the region of
@@ -370,24 +297,7 @@ let bump_region_ns t ranges ns =
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:t.cfg.default_line_size in
   let kind = if private_ then Region.Private else Region.Shared in
-  let a = Space.alloc t.space ~kind ~line_size bytes in
-  (* Static striping: alternate shared regions between the machine
-     default and the configured alternate, by shared-region creation
-     ordinal.  Deterministic in the allocation order, so the qcheck
-     mixed-digest property can build half-RT/half-VM machines from
-     configuration alone. *)
-  (match t.cfg.striped with
-  | Some alt when not private_ ->
-      let idx = region_index_of t a in
-      ensure_region_slot t idx;
-      if t.region_backend.(idx) = None then begin
-        let b = if t.striped_ord land 1 = 1 then alt else t.cfg.backend in
-        t.striped_ord <- t.striped_ord + 1;
-        t.region_backend.(idx) <- Some b;
-        if b <> t.cfg.backend then t.mixed <- true
-      end
-  | _ -> ());
-  a
+  Space.alloc t.space ~kind ~line_size bytes
 
 (* ECSan sees the caller's raw range lists (pre-normalization), so its
    lint can flag degenerate entries the protocol silently drops. *)
@@ -407,6 +317,16 @@ let new_lock t ?(owner = 0) ranges =
 
 let new_barrier t ?participants ?(manager = 0) ranges =
   let participants = Option.value participants ~default:t.cfg.nprocs in
+  (* A one-participant barrier never moves data, so only a real episode
+     needs its binding carried. *)
+  if participants > 1 && Range.normalize ranges <> [] then begin
+    if t.cfg.untargetted then
+      invalid_arg
+        "Runtime.new_barrier: the untargetted model supports lock-based data sharing only \
+         (no barrier-bound data)";
+    if not (Detector.carries_barrier_data (elected_backend ~conflict:Config.Twin t ranges)) then
+      invalid_arg "Runtime.new_barrier: the blast backend cannot carry barrier-bound data"
+  end;
   let bid = t.next_sync_id in
   t.next_sync_id <- bid + 1;
   let b = Sync.make_barrier ~bid ~nprocs:t.cfg.nprocs ~participants ~manager ~ranges in
@@ -503,71 +423,14 @@ let lowest_live_fiber (t : t) ~at =
 (* Write trapping                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let lines_touched (region : Region.t) addr len =
-  let first = (addr - Region.base region) / region.line_size in
-  let last = (addr + max len 1 - 1 - Region.base region) / region.line_size in
-  last - first + 1
-
-let vm_trap c vm addr len =
-  let cost = c.machine.cfg.cost in
-  let region = region_of c addr in
-  match region.Region.kind with
-  | Region.Private -> ()
-  | Region.Shared ->
-      (* One protection check (and possibly one fault) per page touched;
-         stores of <= 8 bytes touch one page because allocations are
-         8-byte aligned. *)
-      let psize = cost.page_size in
-      let first = addr / psize and last = (addr + max len 1 - 1) / psize in
-      for page = first to last do
-        let page_addr = max addr (page * psize) in
-        let ns =
-          Vm_state.on_write vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost
-            ~addr:page_addr
-        in
-        if ns > 0 then begin
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + ns;
-          Engine.charge c.proc ns
-        end
-      done
-
+(* On a re-elected region the store template is the *region's* — a write
+   into a VM-elected region faults, one into an RT-elected region sets
+   dirtybits, whatever the machine default says. *)
 let trap c addr len =
-  let cfg = c.machine.cfg in
-  let cost = cfg.cost in
-  (* On a mixed machine the store template is the *region's* — a write
-     into a VM-elected region faults, one into an RT-elected region sets
-     dirtybits, whatever the machine default says. *)
-  let bst =
-    if not c.machine.mixed then c.backend
-    else state_for c (backend_of_region c.machine (region_index_of c.machine addr))
-  in
-  match bst with
-  | B_none | B_twin _ -> ()
-  | B_vmfine (vm, _) -> vm_trap c vm addr len
-  | B_rt db -> begin
-      let region = region_of c addr in
-      match region.Region.kind with
-      | Region.Private ->
-          (* Misclassified write: the region's null template returns after
-             six instructions. *)
-          c.counters.dirtybits_misclassified <- c.counters.dirtybits_misclassified + 1;
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + cost.dirtybit_set_private_ns;
-          Engine.charge c.proc cost.dirtybit_set_private_ns
-      | Region.Shared ->
-          let n = lines_touched region addr len in
-          Dirtybits.note_write db ~region ~addr ~len;
-          c.counters.dirtybits_set <- c.counters.dirtybits_set + n;
-          let per_line =
-            match cfg.rt_mode with
-            | Config.Plain -> cost.dirtybit_set_ns
-            | Config.Two_level -> cost.dirtybit_set_ns + cost.cycle_ns
-            | Config.Update_queue -> 3 * cost.dirtybit_set_ns
-          in
-          let ns = n * per_line in
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + ns;
-          Engine.charge c.proc ns
-    end
-  | B_vm vm -> vm_trap c vm addr len
+  let region = region_of c addr in
+  let d = detector c (backend_of_region c.machine region.Region.index) in
+  let ns = d.Detector.trap region addr len in
+  if ns > 0 then Engine.charge c.proc ns
 
 (* ------------------------------------------------------------------ *)
 (* Typed access                                                        *)
@@ -646,482 +509,6 @@ let write_int_private c addr v =
   ecsan_access c addr 8 ~op:"write_int_private" ~access:Midway_check.Check.Private_write
 
 (* ------------------------------------------------------------------ *)
-(* Write collection: RT                                                *)
-(* ------------------------------------------------------------------ *)
-
-let scan_cost (cfg : Config.t) (counts : Dirtybits.scan_counts) =
-  let cost = cfg.cost in
-  (counts.clean_reads * cost.dirtybit_read_clean_ns)
-  + (counts.dirty_reads * cost.dirtybit_read_dirty_ns)
-  + (counts.group_checks * cost.dirtybit_read_clean_ns)
-  + (counts.queue_entries * cost.dirtybit_read_dirty_ns)
-
-(* Collect the update set a requester is missing, stamping this
-   processor's fresh modifications.  [select] distinguishes lock
-   transfers from barrier arrivals. *)
-(* Snapshot a run's bytes out of the collector's memory: one blit. *)
-let run_reader (c : ctx) ~addr ~len = Space.read_bytes c.machine.space ~proc:c.cid addr ~len
-
-let rt_collect (c : ctx) db ~ranges ~select =
-  let cfg = c.machine.cfg in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let g = c.gather in
-  Gather.clear g;
-  let emit ~addr ~len ~ts ~fresh:_ ~lines = Gather.push_run g ~addr ~len ~ts ~descs:lines in
-  let counts = Dirtybits.scan db ~region_of:(region_of c) ~ranges ~stamp ~select ~emit in
-  c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + counts.clean_reads;
-  c.counters.dirty_dirtybits_read <- c.counters.dirty_dirtybits_read + counts.dirty_reads;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), scan_cost cfg counts, stamp)
-
-(* Untargetted consistency: the whole allocated shared space is the
-   collection target of every transfer. *)
-let shared_ranges (t : t) =
-  Midway_memory.Space.regions t.space
-  |> List.filter_map (fun (r : Region.t) ->
-         match r.Region.kind with
-         | Region.Shared when r.Region.used > 0 -> Some (Range.v (Region.base r) r.Region.used)
-         | Region.Shared | Region.Private -> None)
-
-(* Update-queue trapping keeps no full scan, so third-party history comes
-   from the lock's sparse history table. *)
-let rt_collect_lock (c : ctx) db (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let targetted = not cfg.untargetted in
-  let ranges = if targetted then l.Sync.ranges else shared_ranges c.machine in
-  let last_seen =
-    if targetted then l.Sync.rt_last_seen.(for_)
-    else c.machine.ctxs.(for_).rt_global_seen
-  in
-  let lines, cost_ns, stamp = rt_collect c db ~ranges ~select:(Transfer last_seen) in
-  match cfg.rt_mode with
-  | Config.Plain | Config.Two_level -> (lines, cost_ns, stamp)
-  | Config.Update_queue ->
-      (* Record fresh lines, then add history lines the requester missed.
-         Under the untargetted model the history spans the whole space,
-         so it lives on the machine rather than per lock. *)
-      let history =
-        if targetted then l.Sync.rt_history else c.machine.rt_untargetted_history
-      in
-      (* The history is per line; expand each coalesced run back into its
-         constituent lines. *)
-      List.iter
-        (fun (ln : Payload.rt_line) ->
-          let line_len = ln.len / ln.descs in
-          for i = 0 to ln.descs - 1 do
-            Hashtbl.replace history (ln.addr + (i * line_len)) ln.ts
-          done)
-        lines;
-      let extra = ref [] in
-      let extra_count = ref 0 in
-      Hashtbl.iter
-        (fun addr ts ->
-          incr extra_count;
-          if ts > last_seen && ts <> stamp then begin
-            let region = region_of c addr in
-            let len = region.Region.line_size in
-            if Range.clip (Range.v addr len) ~within:ranges <> [] then
-              extra :=
-                {
-                  Payload.addr;
-                  len;
-                  ts;
-                  data = Space.read_bytes c.machine.space ~proc:c.cid addr ~len;
-                  descs = 1;
-                }
-                :: !extra
-          end)
-        history;
-      c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + !extra_count;
-      let cost_ns = cost_ns + (!extra_count * cfg.cost.dirtybit_read_clean_ns) in
-      (lines @ List.rev !extra, cost_ns, stamp)
-
-let rt_apply (c : ctx) db (lines : Payload.rt_line list) =
-  let cfg = c.machine.cfg in
-  let cost = cfg.cost in
-  (* With the reliable channel armed, protocol retries can replay a
-     logical update: a line whose installed stamp already reaches the
-     incoming one is stale and skipped.  The test never runs on a
-     fault-free fabric, keeping those runs bit-identical to the seed. *)
-  let guard_stale = c.machine.reliable <> None in
-  let track_history = cfg.untargetted && cfg.rt_mode = Config.Update_queue in
-  let note_history addr ts =
-    match Hashtbl.find_opt c.machine.rt_untargetted_history addr with
-    | Some old when old >= ts -> ()
-    | _ -> Hashtbl.replace c.machine.rt_untargetted_history addr ts
-  in
-  let apply_ns = ref 0 in
-  List.iter
-    (fun (ln : Payload.rt_line) ->
-      let region = region_of c ln.addr in
-      let line_len = ln.len / ln.descs in
-      (* Costs are charged per line: copy_cost_ns floors an integer
-         division, so charging the run as one block would drift from the
-         per-line total. *)
-      let per_line_ns =
-        cost.dirtybit_update_ns + cfg.apply_line_ns
-        + Cost_model.copy_cost_ns cost ~bytes:line_len ~warm:true
-      in
-      if not guard_stale then begin
-        (* Fast path: install the whole run with one blit and one
-           timestamp sweep. *)
-        Space.write_bytes c.machine.space ~proc:c.cid ln.addr ln.data;
-        Dirtybits.set_ts_run db ~region ~addr:ln.addr ~lines:ln.descs ~ts:ln.ts;
-        if track_history then
-          for i = 0 to ln.descs - 1 do
-            note_history (ln.addr + (i * line_len)) ln.ts
-          done;
-        c.counters.dirtybits_updated <- c.counters.dirtybits_updated + ln.descs;
-        apply_ns := !apply_ns + (ln.descs * per_line_ns)
-      end
-      else
-        (* Replays may have installed some of the run's lines already, so
-           staleness is decided line by line. *)
-        for i = 0 to ln.descs - 1 do
-          let addr = ln.addr + (i * line_len) in
-          let stale =
-            let cur = Dirtybits.line_ts db ~region ~addr in
-            Timestamp.is_stamp cur && cur >= ln.ts
-          in
-          if stale then
-            c.counters.duplicates_suppressed <- c.counters.duplicates_suppressed + 1
-          else begin
-            Space.write_bytes c.machine.space ~proc:c.cid addr
-              (Bytes.sub ln.data (i * line_len) line_len);
-            Dirtybits.set_ts db ~region ~addr ~ts:ln.ts;
-            if track_history then note_history addr ln.ts;
-            c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-            apply_ns := !apply_ns + per_line_ns
-          end
-        done)
-    lines;
-  !apply_ns
-
-(* ------------------------------------------------------------------ *)
-(* Write collection: VM                                                *)
-(* ------------------------------------------------------------------ *)
-
-let vm_log_trim (cfg : Config.t) log =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  take cfg.update_log_window log
-
-(* A rebinding in (seen, current) forces a *diff-free* full transfer:
-   the paper's VM-DSM ships all bound data "without performing a diff"
-   when the binding changed (section 4, quicksort).  This is decidable
-   from the log alone, before any diffing. *)
-let vm_rebound_since (l : Sync.lock) ~seen ~current =
-  seen < current
-  && List.exists (fun (inc, e) -> inc > seen && e = Sync.Full_marker) l.Sync.vm_log
-
-let vm_debug_lid =
-  match Sys.getenv_opt "MIDWAY_VM_DEBUG" with
-  | Some s -> ( try Some (int_of_string s) with _ -> None)
-  | None -> None
-
-let vm_debug_pieces pieces =
-  String.concat ","
-    (List.map
-       (fun (p : Payload.vm_piece) ->
-         Printf.sprintf "%d+%d" p.Payload.addr (Bytes.length p.Payload.data))
-       pieces)
-
-let vm_debug_payload = function
-  | Payload.Empty -> "empty"
-  | Payload.Vm_full pieces -> Printf.sprintf "full[%s]" (vm_debug_pieces pieces)
-  | Payload.Vm_updates us ->
-      Printf.sprintf "updates[%s]"
-        (String.concat " | "
-           (List.map
-              (fun (u : Payload.vm_update) ->
-                Printf.sprintf "inc%d:%s" u.Payload.incarnation (vm_debug_pieces u.Payload.pieces))
-              us))
-  | _ -> "?"
-
-let vm_collect_lock (c : ctx) vm (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let bound = Sync.lock_bound_bytes l in
-  let this_inc = l.Sync.incarnation in
-  let seen = l.Sync.vm_inc_seen.(for_) in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  if vm_rebound_since l ~seen ~current:this_inc then begin
-    (* Diff-free full transfer after a rebinding: ship the releaser's
-       current bound data as is.  Pages stay dirty and writable (no
-       protection churn) and any saved diffs under the ranges are
-       superseded.  The shipped words are absorbed into the twins: the
-       full transfer makes them the protocol's current state, and leaving
-       them differing from their twins would let a later collection
-       (possibly of another lock sharing the page) resurrect them with
-       data the protocol has since moved past. *)
-    Vm_state.absorb vm ~space:c.machine.space ~proc:c.cid ~ranges:l.Sync.ranges;
-    Vm_state.discard_pending vm ~ranges:l.Sync.ranges;
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Full_marker) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-    let payload =
-      Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d serves p%d REBOUND-FULL seen=%d inc=%d %s\n%!"
-        l.Sync.lid c.cid for_ seen this_inc (vm_debug_payload payload);
-    (payload, 0, this_inc)
-  end
-  else begin
-    let pieces, diff_ns =
-      Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-        ~cost:cfg.cost ~ranges:l.Sync.ranges
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d collect for p%d seen=%d inc=%d own-diff=[%s]\n%!"
-        l.Sync.lid c.cid for_ seen this_inc (vm_debug_pieces pieces);
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Pieces pieces) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-    let payload =
-      if seen >= this_inc then Payload.Empty
-      else begin
-        let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen) l.Sync.vm_log in
-        (* The log window may no longer reach back to the requester's
-           cursor ("Midway's implementation of VM-DSM does not save all
-           the updates"): then, or when the concatenated updates exceed
-           the bound data, all of the bound data is sent instead. *)
-        let covered = List.length taken = this_inc - seen in
-        let updates =
-          List.rev_map
-            (fun (inc, e) -> { Payload.incarnation = inc; producer = -1; pieces = pieces_of e })
-            taken
-          (* rev_map of newest-first gives oldest-first, the application order *)
-        in
-        let bytes =
-          List.fold_left (fun acc u -> acc + Payload.pieces_bytes u.Payload.pieces) 0 updates
-        in
-        if (not covered) || bytes > bound then
-          Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-        else Payload.Vm_updates updates
-      end
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d serves p%d seen=%d inc=%d -> %s\n%!" l.Sync.lid c.cid
-        for_ seen this_inc (vm_debug_payload payload);
-    (payload, diff_ns, this_inc)
-  end
-
-let vm_apply (c : ctx) vm payload =
-  let cfg = c.machine.cfg in
-  let apply pieces =
-    Vm_state.apply_pieces vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost pieces
-  in
-  match payload with
-  | Payload.Vm_updates updates ->
-      List.fold_left (fun acc (u : Payload.vm_update) -> acc + apply u.Payload.pieces) 0 updates
-  | Payload.Vm_full pieces -> apply pieces
-  | Payload.Empty -> 0
-  | Payload.Rt_lines _ | Payload.Blast_data _ ->
-      invalid_arg "Runtime.vm_apply: wrong payload kind"
-
-(* ------------------------------------------------------------------ *)
-(* Blast                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let blast_collect (c : ctx) (l : Sync.lock) =
-  let bound = Sync.lock_bound_bytes l in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-  Payload.Blast_data (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-
-let blast_apply (c : ctx) pieces =
-  let cfg = c.machine.cfg in
-  Payload.write_pieces c.machine.space ~proc:c.cid pieces;
-  Cost_model.copy_cost_ns cfg.cost ~bytes:(Payload.pieces_bytes pieces) ~warm:true
-
-(* ------------------------------------------------------------------ *)
-(* Twin backend (section 3.5): no trapping; diff all bound data        *)
-(* ------------------------------------------------------------------ *)
-
-let twin_collect_lock (c : ctx) tw (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let bound = Sync.lock_bound_bytes l in
-  let this_inc = l.Sync.incarnation in
-  let seen = l.Sync.vm_inc_seen.(for_) in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  if vm_rebound_since l ~seen ~current:this_inc then begin
-    (* Diff-free full transfer after a rebinding; re-snapshot the twin so
-       the next comparison starts from the shipped state. *)
-    Twin_state.refresh tw ~space:c.machine.space ~proc:c.cid ~id:l.Sync.lid
-      ~ranges:l.Sync.ranges;
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Full_marker) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-    (Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges), 0, this_inc)
-  end
-  else begin
-    let pieces, diff_ns =
-      Twin_state.collect tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-        ~cost:cfg.cost ~id:l.Sync.lid ~ranges:l.Sync.ranges
-    in
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Pieces pieces) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-    let payload =
-      if seen >= this_inc then Payload.Empty
-      else begin
-        let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen) l.Sync.vm_log in
-        let covered = List.length taken = this_inc - seen in
-        let updates =
-          List.rev_map
-            (fun (inc, e) -> { Payload.incarnation = inc; producer = -1; pieces = pieces_of e })
-            taken
-        in
-        let bytes =
-          List.fold_left (fun acc u -> acc + Payload.pieces_bytes u.Payload.pieces) 0 updates
-        in
-        if (not covered) || bytes > bound then
-          Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-        else Payload.Vm_updates updates
-      end
-    in
-    (payload, diff_ns, this_inc)
-  end
-
-let twin_apply (c : ctx) tw ~id ~ranges payload =
-  let cfg = c.machine.cfg in
-  let apply pieces =
-    Twin_state.apply_pieces tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost ~id ~ranges pieces
-  in
-  match payload with
-  | Payload.Vm_updates updates ->
-      List.fold_left (fun acc (u : Payload.vm_update) -> acc + apply u.Payload.pieces) 0 updates
-  | Payload.Vm_full pieces -> apply pieces
-  | Payload.Empty -> 0
-  | Payload.Rt_lines _ | Payload.Blast_data _ ->
-      invalid_arg "Runtime.twin_apply: wrong payload kind"
-
-(* ------------------------------------------------------------------ *)
-(* Vm_fine (section 3.4's rejected variant): VM trapping, RT history   *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold a page diff into the per-line timestamp table, then collect the
-   requester's missing lines exactly as RT does.  The cost is the sum the
-   paper predicts: diff + stamp installs + a full RT-style scan. *)
-let vmfine_collect (c : ctx) vm db ~ranges ~last_seen =
-  let cfg = c.machine.cfg in
-  let pieces, diff_ns =
-    Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost:cfg.cost
-      ~ranges
-  in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let stamp_ns = ref 0 in
-  List.iter
-    (fun (p : Payload.vm_piece) ->
-      let region = region_of c p.Payload.addr in
-      Range.iter_lines
-        (Range.v p.Payload.addr (Bytes.length p.Payload.data))
-        ~line_size:region.Region.line_size
-        ~f:(fun ~addr ~len:_ ->
-          Dirtybits.set_ts db ~region ~addr ~ts:stamp;
-          c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-          stamp_ns := !stamp_ns + cfg.cost.dirtybit_update_ns))
-    pieces;
-  let g = c.gather in
-  Gather.clear g;
-  let emit ~addr ~len ~ts ~fresh:_ ~lines = Gather.push_run g ~addr ~len ~ts ~descs:lines in
-  let counts =
-    Dirtybits.scan db ~region_of:(region_of c) ~ranges ~stamp
-      ~select:(Dirtybits.Transfer last_seen) ~emit
-  in
-  c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + counts.clean_reads;
-  c.counters.dirty_dirtybits_read <- c.counters.dirty_dirtybits_read + counts.dirty_reads;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), diff_ns + !stamp_ns + scan_cost cfg counts, stamp)
-
-(* Barrier arrival: the fresh modifications are exactly the diffed
-   pieces, so no scan is needed — stamp them and ship their lines. *)
-let vmfine_barrier_collect (c : ctx) vm db ~ranges =
-  let cfg = c.machine.cfg in
-  let pieces, diff_ns =
-    Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost:cfg.cost
-      ~ranges
-  in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let seen = Hashtbl.create 16 in
-  let g = c.gather in
-  Gather.clear g;
-  let extra_ns = ref 0 in
-  let last_region = ref (-1) in
-  List.iter
-    (fun (p : Payload.vm_piece) ->
-      let region = region_of c p.Payload.addr in
-      if region.Region.index <> !last_region then begin
-        (* Runs never span regions (line sizes may differ across them). *)
-        Gather.seal g;
-        last_region := region.Region.index
-      end;
-      Range.iter_lines
-        (Range.v p.Payload.addr (Bytes.length p.Payload.data))
-        ~line_size:region.Region.line_size
-        ~f:(fun ~addr ~len ->
-          if not (Hashtbl.mem seen addr) then begin
-            Hashtbl.replace seen addr ();
-            Dirtybits.set_ts db ~region ~addr ~ts:stamp;
-            c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-            extra_ns := !extra_ns + cfg.cost.dirtybit_update_ns;
-            Gather.push_line g ~addr ~len ~ts:stamp
-          end))
-    pieces;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), diff_ns + !extra_ns, stamp)
-
-let vmfine_apply (c : ctx) vm db (lines : Payload.rt_line list) =
-  let cfg = c.machine.cfg in
-  (* the data lands in memory and in any twin of a dirty page, then the
-     timestamps install as at an RT requester.  Runs are split back into
-     per-line pieces: the copy cost model floors an integer division per
-     piece, so applying a run as one block would drift from the per-line
-     total. *)
-  let pieces =
-    List.concat_map
-      (fun (ln : Payload.rt_line) ->
-        if ln.Payload.descs = 1 then [ { Payload.addr = ln.addr; data = ln.data } ]
-        else begin
-          let line_len = ln.len / ln.descs in
-          List.init ln.descs (fun i ->
-              {
-                Payload.addr = ln.addr + (i * line_len);
-                data = Bytes.sub ln.data (i * line_len) line_len;
-              })
-        end)
-      lines
-  in
-  let copy_ns =
-    Vm_state.apply_pieces vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost pieces
-  in
-  List.fold_left
-    (fun acc (ln : Payload.rt_line) ->
-      let region = region_of c ln.Payload.addr in
-      Dirtybits.set_ts_run db ~region ~addr:ln.Payload.addr ~lines:ln.Payload.descs
-        ~ts:ln.Payload.ts;
-      c.counters.dirtybits_updated <- c.counters.dirtybits_updated + ln.Payload.descs;
-      acc + (ln.Payload.descs * (cfg.cost.dirtybit_update_ns + cfg.apply_line_ns)))
-    copy_ns lines
-
-(* ------------------------------------------------------------------ *)
 (* Lock protocol                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1151,41 +538,6 @@ let send_msg ?(overhead_bytes = 0) (t : t) ~kind ~src ~dst ~payload_bytes ~at =
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: replication at release, quorum failover              *)
 (* ------------------------------------------------------------------ *)
-
-(* Install a replica snapshot of [l]'s bound data at [nc], making it look
-   like a freshly received full transfer.  For the timestamp backends the
-   covered lines are stamped newer than anything any processor has seen:
-   a replica is authoritative regardless of local stamps (it bypasses
-   [rt_apply]'s staleness guard on purpose), and the fresh stamp makes
-   the new owner's subsequent collections ship the recovered data to
-   every requester whose cursor was reset by the epoch bump. *)
-let install_replica (nc : ctx) (l : Sync.lock) (pieces : Payload.vm_piece list) =
-  let t = nc.machine in
-  let cost = t.cfg.cost in
-  let bytes = Payload.pieces_bytes pieces in
-  match state_for nc (elected_backend t l.Sync.ranges) with
-  | B_rt db | B_vmfine (_, db) ->
-      let time = 1 + Array.fold_left (fun acc (c : ctx) -> max acc c.lamport) 0 t.ctxs in
-      nc.lamport <- time;
-      let stamp = Timestamp.make ~time ~proc:nc.cid ~nprocs:t.cfg.nprocs in
-      Payload.write_pieces t.space ~proc:nc.cid pieces;
-      let lines = ref 0 in
-      List.iter
-        (fun (range : Range.t) ->
-          if not (Range.is_empty range) then
-            let region = region_of nc range.Range.addr in
-            Range.iter_lines range ~line_size:region.Region.line_size ~f:(fun ~addr ~len:_ ->
-                incr lines;
-                Dirtybits.set_ts db ~region ~addr ~ts:stamp))
-        l.Sync.ranges;
-      nc.counters.dirtybits_updated <- nc.counters.dirtybits_updated + !lines;
-      l.Sync.rt_stamp <- stamp;
-      l.Sync.rt_last_seen.(nc.cid) <- stamp;
-      (!lines * (cost.dirtybit_update_ns + t.cfg.apply_line_ns))
-      + Cost_model.copy_cost_ns cost ~bytes ~warm:false
-  | B_vm vm -> vm_apply nc vm (Payload.Vm_full pieces)
-  | B_twin tw -> twin_apply nc tw ~id:l.Sync.lid ~ranges:l.Sync.ranges (Payload.Vm_full pieces)
-  | B_none -> blast_apply nc pieces
 
 (* Ship a snapshot of the lock's bound data to [cr_replicas] backups when
    an exclusive holder releases.  The snapshot itself lives with the lock
@@ -1284,10 +636,9 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
               | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
           | None -> ());
           nc.counters.data_received_bytes <- nc.counters.data_received_bytes + bytes;
-          t_done := !t_done + install_replica nc l snapshot;
-          (match state_for nc (elected_backend t l.Sync.ranges) with
-          | B_vm _ | B_twin _ -> l.Sync.vm_inc_seen.(new_owner) <- l.Sync.incarnation
-          | _ -> ())
+          (* Install the snapshot like a freshly received full transfer. *)
+          let d = detector nc (elected_backend t l.Sync.ranges) in
+          t_done := !t_done + d.Detector.install_replica l snapshot
       | None ->
           (* The owner died without ever releasing: nothing was committed,
              so the new owner's own copy — untouched since the bind — is
@@ -1329,11 +680,18 @@ let region_span t idx = Range.v (idx * t.cfg.region_size) t.cfg.region_size
 let binding_intersects ranges span =
   List.exists (fun (r : Range.t) -> (not (Range.is_empty r)) && Range.overlaps r span) ranges
 
-(* A switch is safe when no binding rooted in the region is mid-
-   transfer: no lock held or read-held, no barrier with parked arrivals
-   (their mailboxed payloads were collected under the old backend).
-   Pending lock requests are fine — they are served after the switch,
-   and the epoch bump below makes that service a full transfer. *)
+(* A region that a data-carrying barrier binds is never re-elected.  The
+   epoch bump that makes a switch safe reaches only locks: a barrier
+   participant keeps its writes uncollected until its next arrival, so
+   wiping the region's detection state would lose them. *)
+let barrier_bound t idx =
+  let span = region_span t idx in
+  List.exists (fun (b : Sync.barrier) -> binding_intersects b.Sync.branges span) t.barriers
+
+(* A switch is safe when no lock bound in the region is mid-transfer: none
+   held or read-held.  Pending requests are fine — they are served after
+   the switch, and the epoch bump below makes that service a full
+   transfer. *)
 let safe_to_switch t idx =
   let span = region_span t idx in
   List.for_all
@@ -1341,10 +699,6 @@ let safe_to_switch t idx =
       (not (binding_intersects l.Sync.ranges span))
       || (l.Sync.held_by = None && l.Sync.readers = []))
     t.locks
-  && List.for_all
-       (fun (b : Sync.barrier) ->
-         (not (binding_intersects b.Sync.branges span)) || b.Sync.arrived = [])
-       t.barriers
 
 (* Re-elect a region's detection backend.  Correctness rests on the
    rebinding rules: every binding overlapping the region is epoch-bumped
@@ -1354,17 +708,16 @@ let safe_to_switch t idx =
    per-processor detection state, old and new alike.  The modeled cost
    of a switch is exactly those forced full transfers. *)
 let switch_region_backend t ~region_index ~to_ ~at =
-  if not (electable to_) then
+  if not (Detector.electable to_) then
     invalid_arg "Runtime.switch_region_backend: vm-fine and standalone are machine-wide";
-  if not (electable t.cfg.backend) then
+  if not (Detector.electable t.cfg.backend) then
     invalid_arg "Runtime.switch_region_backend: the machine backend is not per-region electable";
   if t.cfg.untargetted then
     invalid_arg "Runtime.switch_region_backend: untargetted bindings are machine-wide";
   ensure_region_slot t region_index;
   let from_ = backend_of_region t region_index in
   if from_ <> to_ then begin
-    t.region_backend.(region_index) <- Some to_;
-    if to_ <> t.cfg.backend then t.mixed <- true;
+    t.region_backend.(region_index) <- to_;
     t.switches <- t.switches + 1;
     let span = region_span t region_index in
     List.iter
@@ -1378,15 +731,7 @@ let switch_region_backend t ~region_index ~to_ ~at =
     | None -> ()  (* nothing allocated there yet: no state to wipe *)
     | Some region ->
         Array.iter
-          (fun c ->
-            (match c.backend with
-            | B_rt db | B_vmfine (_, db) -> Dirtybits.reset_region db region
-            | _ -> ());
-            (match c.alt_rt with Some db -> Dirtybits.reset_region db region | None -> ());
-            (match c.backend with
-            | B_vm vm | B_vmfine (vm, _) -> Vm_state.forget vm ~ranges:[ span ]
-            | _ -> ());
-            (match c.alt_vm with Some vm -> Vm_state.forget vm ~ranges:[ span ] | None -> ()))
+          (fun c -> List.iter (fun (_, d) -> d.Detector.forget region) c.detectors)
           t.ctxs);
     Trace.record t.trace
       (Trace.Backend_switched
@@ -1449,7 +794,7 @@ let maybe_adapt t ranges ~at =
               seen := idx :: !seen;
               match backend_of_region t idx with
               | (Config.Rt | Config.Vm) as current ->
-                  if safe_to_switch t idx then (
+                  if safe_to_switch t idx && not (barrier_bound t idx) then (
                     let w = Policy.window p ~region:idx in
                     match Policy.decide p ~region:idx ~current with
                     | Some target ->
@@ -1467,6 +812,65 @@ let maybe_adapt t ranges ~at =
           end)
         ranges
 
+(* Account one collection by [c] for sync object [sync], starting at
+   [at]: counters, per-region time, obs spans and metrics (labelled
+   [label c.cid sync], built only when obs is armed), and the
+   adaptive policy's feed.  Only lock transfers pass [app_rebound]
+   (whether the application rebound the lock since the last backend
+   switch) and feed the policy: barrier-bound regions are never
+   re-elected. *)
+let record_collect ?app_rebound t (c : ctx) (d : Detector.t) ~sync ~label ~ranges ~at collect =
+  (* Side-effect-free counter reads, taken only to attribute this
+     collection's page-diff output to the obs registry. *)
+  let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
+  let (col : Detector.collection) = collect () in
+  let ns = col.ns and app = Payload.app_bytes col.payload in
+  c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
+  bump_region_ns t ranges ns;
+  c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
+  (match (t.policy, app_rebound) with
+  | Some p, Some app_rebound -> (
+      match first_bound_region t ranges with
+      | None -> ()
+      | Some region ->
+          (* Only *application* rebinds count as rebinding-heavy
+             behaviour: epoch bumps at or below the lock's [switch_inc]
+             watermark were forced by a backend switch (and a first-ever
+             transfer is merely cold), so without the watermark gate the
+             policy's own switches — and program start — would read as
+             diff-free-full traffic and bias it toward VM. *)
+          let pages, runs = payload_page_stats t col.payload in
+          Policy.note_collect p ~region:region.Region.index ~line_size:region.Region.line_size
+            ~bound_bytes:(Range.total_bytes ranges) ~payload_bytes:app ~payload_pages:pages
+            ~payload_runs:runs ~rebound:(app_rebound && col.rebound))
+  | _ -> ());
+  (match t.obsv with
+  | None -> ()
+  | Some o ->
+      let m = Obs.metrics o and label = label c.cid sync in
+      Obs.span o Obs.Collect ~proc:c.cid ~sync ~bytes:app ~t0:at ~t1:(at + ns) ();
+      Obs.span o Obs.Diff ~proc:c.cid ~sync ~note:d.Detector.note ~t0:at ~t1:(at + ns) ();
+      Metrics.observe m ~name:"collect_ns" ~label ns;
+      Metrics.observe m ~name:"transfer_bytes" ~label ~buckets:Metrics.bytes_buckets app;
+      let pages = c.counters.pages_diffed - pages0 in
+      if pages > 0 then
+        Metrics.observe m ~name:"diff_bytes_per_page"
+          ~label:(Printf.sprintf "p%d" c.cid)
+          ~buckets:Metrics.bytes_buckets
+          ((c.counters.dirty_bytes_found - dirty0) / pages));
+  col
+
+(* Account one apply of [app] payload bytes at [c], delivered at [at]. *)
+let record_apply t (c : ctx) ~sync ~label ~ranges ~at ~app apply_ns =
+  c.counters.collect_time_ns <- c.counters.collect_time_ns + apply_ns;
+  bump_region_ns t ranges apply_ns;
+  c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
+  match t.obsv with
+  | None -> ()
+  | Some o ->
+      Obs.span o Obs.Apply ~proc:c.cid ~sync ~bytes:app ~t0:at ~t1:(at + apply_ns) ();
+      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(label c.cid sync) apply_ns
+
 (* Serve one pending request: runs at the releaser side (conceptually on
    its runtime thread), computes the update payload, applies it at the
    requester and schedules the requester's resumption.  A shared-mode
@@ -1476,140 +880,43 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   let releaser = l.Sync.owner in
   let rc = t.ctxs.(releaser) and qc = t.ctxs.(q) in
   let service_time = max arrival l.Sync.free_at in
-  (* Side-effect-free counter reads, taken only to attribute this
-     collection's page-diff output to the obs registry. *)
-  let pages0 = if t.obsv = None then 0 else rc.counters.pages_diffed in
-  let dirty0 = if t.obsv = None then 0 else rc.counters.dirty_bytes_found in
-  (* The lock's elected backend decides both sides of the transfer; on a
-     fixed machine this is the machine default and [state_for] hands
-     back the per-processor state untouched. *)
+  (* The lock's elected backend decides both sides of the transfer. *)
   let lb = elected_backend t l.Sync.ranges in
-  let rbst = state_for rc lb in
-  (* Whether this transfer will be a rebinding-forced full, read off the
-     cursors before the collection consumes them (policy input only). *)
-  let policy_rebound =
-    (* Only *application* rebinds count as rebinding-heavy behaviour:
-       epoch bumps at or below the lock's [switch_inc] watermark were
-       forced by a backend switch (and a first-ever transfer is merely
-       cold), so without the watermark gate the policy's own switches —
-       and program start — would read as diff-free-full traffic and bias
-       it toward VM. *)
-    t.policy <> None
-    && l.Sync.incarnation > l.Sync.switch_inc
-    &&
-    match rbst with
-    | B_vm _ | B_twin _ ->
-        vm_rebound_since l ~seen:l.Sync.vm_inc_seen.(q) ~current:l.Sync.incarnation
-    | _ -> l.Sync.rt_last_seen.(q) = Timestamp.never_seen
+  let rd = detector rc lb in
+  (* Read before the collection bumps the incarnation. *)
+  let app_rebound = l.Sync.incarnation > l.Sync.switch_inc in
+  let col =
+    record_collect ~app_rebound t rc rd ~sync:l.Sync.lid ~label:lock_label
+      ~ranges:l.Sync.ranges ~at:service_time (fun () -> rd.Detector.collect_lock l ~for_:q)
   in
-  let payload, collect_ns, stamp_info =
-    match rbst with
-    | B_rt db ->
-        let lines, ns, stamp = rt_collect_lock rc db l ~for_:q in
-        ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-    | B_vm vm ->
-        let payload, ns, inc = vm_collect_lock rc vm l ~for_:q in
-        (payload, ns, inc)
-    | B_twin tw ->
-        let payload, ns, inc = twin_collect_lock rc tw l ~for_:q in
-        (payload, ns, inc)
-    | B_vmfine (vm, db) ->
-        let lines, ns, stamp =
-          vmfine_collect rc vm db ~ranges:l.Sync.ranges ~last_seen:l.Sync.rt_last_seen.(q)
-        in
-        ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-    | B_none -> (blast_collect rc l, 0, 0)
-  in
-  rc.counters.collect_time_ns <- rc.counters.collect_time_ns + collect_ns;
-  bump_region_ns t l.Sync.ranges collect_ns;
+  let payload = col.Detector.payload and collect_ns = col.Detector.ns in
   let app = Payload.app_bytes payload in
-  (match t.policy with
-  | None -> ()
-  | Some p -> (
-      match first_bound_region t l.Sync.ranges with
-      | None -> ()
-      | Some region ->
-          let pages, runs = payload_page_stats t payload in
-          Policy.note_collect p ~region:region.Region.index
-            ~line_size:region.Region.line_size
-            ~bound_bytes:(Sync.lock_bound_bytes l) ~payload_bytes:app ~payload_pages:pages
-            ~payload_runs:runs ~rebound:policy_rebound));
-  rc.counters.data_sent_bytes <- rc.counters.data_sent_bytes + app;
   rc.counters.messages <- rc.counters.messages + 1;
-  (match t.obsv with
-  | None -> ()
-  | Some o ->
-      let lid = l.Sync.lid in
-      let lbl = lock_label releaser lid in
-      let m = Obs.metrics o in
-      Obs.span o Obs.Collect ~proc:releaser ~sync:lid ~bytes:app ~t0:service_time
-        ~t1:(service_time + collect_ns) ();
-      Obs.span o Obs.Diff ~proc:releaser ~sync:lid ~note:(diff_note rbst)
-        ~t0:service_time ~t1:(service_time + collect_ns) ();
-      Metrics.observe m ~name:"collect_ns" ~label:lbl collect_ns;
-      Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
-      let pages = rc.counters.pages_diffed - pages0 in
-      if pages > 0 then
-        Metrics.observe m ~name:"diff_bytes_per_page"
-          ~label:(Printf.sprintf "p%d" releaser)
-          ~buckets:Metrics.bytes_buckets
-          ((rc.counters.dirty_bytes_found - dirty0) / pages));
   let finish deliver =
-  (* Apply at the requester (it is blocked; its memory is quiescent). *)
-  let apply_ns =
-    match (state_for qc lb, payload) with
-    | B_rt db, Payload.Rt_lines lines -> rt_apply qc db lines
-    | B_rt _, Payload.Empty -> 0
-    | B_vm vm, _ -> vm_apply qc vm payload
-    | B_twin tw, _ -> twin_apply qc tw ~id:l.Sync.lid ~ranges:l.Sync.ranges payload
-    | B_vmfine (vm, db), Payload.Rt_lines lines -> vmfine_apply qc vm db lines
-    | B_vmfine _, Payload.Empty -> 0
-    | B_none, Payload.Blast_data pieces -> blast_apply qc pieces
-    | B_none, Payload.Empty -> 0
-    | _ -> invalid_arg "Runtime.serve: payload/backend mismatch"
-  in
-  qc.counters.collect_time_ns <- qc.counters.collect_time_ns + apply_ns;
-  bump_region_ns t l.Sync.ranges apply_ns;
-  qc.counters.data_received_bytes <- qc.counters.data_received_bytes + app;
-  (match t.obsv with
-  | None -> ()
-  | Some o ->
-      Obs.span o Obs.Apply ~proc:q ~sync:l.Sync.lid ~bytes:app ~t0:deliver
-        ~t1:(deliver + apply_ns) ();
-      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(lock_label q l.Sync.lid)
-        apply_ns);
-  (* Advance cursors. *)
-  (match rbst with
-  | B_rt _ | B_vmfine _ ->
-      l.Sync.rt_stamp <- stamp_info;
-      l.Sync.rt_last_seen.(q) <- stamp_info;
-      l.Sync.rt_last_seen.(releaser) <- stamp_info;
-      if t.cfg.untargetted then begin
-        qc.rt_global_seen <- max qc.rt_global_seen stamp_info;
-        rc.rt_global_seen <- max rc.rt_global_seen stamp_info
-      end;
-      qc.lamport <- max qc.lamport (Timestamp.time stamp_info ~nprocs:t.cfg.nprocs)
-  | B_vm _ | B_twin _ ->
-      l.Sync.vm_inc_seen.(q) <- stamp_info;
-      l.Sync.vm_inc_seen.(releaser) <- stamp_info
-  | B_none -> ());
-  (match mode with
-  | Sync.Exclusive ->
-      l.Sync.owner <- q;
-      l.Sync.held_by <- Some q
-  | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
-  l.Sync.acquires <- l.Sync.acquires + 1;
-  Trace.record t.trace
-    (Trace.Lock_granted
-       {
-         t = deliver + apply_ns;
-         lock = l.Sync.lid;
-         from_ = releaser;
-         to_ = q;
-         shared = (mode = Sync.Shared);
-         payload_bytes = app;
-       });
-  waker ~at:(deliver + apply_ns)
+    (* Apply at the requester (it is blocked; its memory is quiescent). *)
+    let apply_ns =
+      (detector qc lb).Detector.apply ~id:l.Sync.lid ~ranges:l.Sync.ranges payload
+    in
+    record_apply t qc ~sync:l.Sync.lid ~label:lock_label ~ranges:l.Sync.ranges
+      ~at:deliver ~app apply_ns;
+    rd.Detector.advance l ~releaser ~requester:q col.Detector.cursor;
+    (match mode with
+    | Sync.Exclusive ->
+        l.Sync.owner <- q;
+        l.Sync.held_by <- Some q
+    | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
+    l.Sync.acquires <- l.Sync.acquires + 1;
+    Trace.record t.trace
+      (Trace.Lock_granted
+         {
+           t = deliver + apply_ns;
+           lock = l.Sync.lid;
+           from_ = releaser;
+           to_ = q;
+           shared = (mode = Sync.Shared);
+           payload_bytes = app;
+         });
+    waker ~at:(deliver + apply_ns)
   in
   match
     send_msg ~overhead_bytes:(wire_overhead t.cfg payload) t ~kind:Net.Lock_reply
@@ -1812,45 +1119,6 @@ let rebind c l ranges =
 (* Barrier protocol                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_collect (c : ctx) (b : Sync.barrier) =
-  if c.machine.cfg.untargetted && b.Sync.branges <> [] then
-    failwith "Runtime.barrier: the untargetted model supports lock-based data sharing only";
-  (* Barriers elect like locks; a barrier spanning differently-elected
-     regions degrades to Twin (Blast cannot carry barrier-bound data). *)
-  match state_for c (elected_backend ~conflict:Config.Twin c.machine b.Sync.branges) with
-  | B_rt db ->
-      let lines, ns, stamp = rt_collect c db ~ranges:b.Sync.branges ~select:Dirtybits.Fresh_only in
-      ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-  | B_vm vm ->
-      let cfg = c.machine.cfg in
-      let pieces, ns =
-        Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-          ~cost:cfg.cost ~ranges:b.Sync.branges
-      in
-      c.counters.bound_bytes_scanned <-
-        c.counters.bound_bytes_scanned + Range.total_bytes b.Sync.branges;
-      c.counters.dirty_bytes_found <-
-        c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-      ((if pieces = [] then Payload.Empty else Payload.Vm_full pieces), ns, 0)
-  | B_vmfine (vm, db) ->
-      let lines, ns, stamp = vmfine_barrier_collect c vm db ~ranges:b.Sync.branges in
-      ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-  | B_twin tw ->
-      let cfg = c.machine.cfg in
-      let pieces, ns =
-        Twin_state.collect tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-          ~cost:cfg.cost ~id:b.Sync.bid ~ranges:b.Sync.branges
-      in
-      c.counters.bound_bytes_scanned <-
-        c.counters.bound_bytes_scanned + Range.total_bytes b.Sync.branges;
-      c.counters.dirty_bytes_found <-
-        c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-      ((if pieces = [] then Payload.Empty else Payload.Vm_full pieces), ns, 0)
-  | B_none ->
-      if b.Sync.branges <> [] then
-        failwith "Runtime.barrier: the blast backend does not support barrier-bound data";
-      (Payload.Empty, 0, 0)
-
 (* With crash faults armed a barrier completes once every participant
    whose fiber can still arrive has arrived: crash-stopped processors
    that never reached the barrier are not waited for (their fibers are
@@ -1935,29 +1203,11 @@ let barrier_release t (b : Sync.barrier) =
             t_release + s.Reliable.s_elapsed_ns
       in
       let apply_ns =
-        match
-          ( state_for pc (elected_backend ~conflict:Config.Twin t b.Sync.branges),
-            payload )
-        with
-        | B_rt db, Payload.Rt_lines lines -> rt_apply pc db lines
-        | B_vm vm, (Payload.Vm_full _ as pl) -> vm_apply pc vm pl
-        | B_twin tw, (Payload.Vm_full _ as pl) ->
-            twin_apply pc tw ~id:b.Sync.bid ~ranges:b.Sync.branges pl
-        | B_vmfine (vm, db), Payload.Rt_lines lines -> vmfine_apply pc vm db lines
-        | _, Payload.Empty -> 0
-        | _ -> invalid_arg "Runtime.barrier_release: payload/backend mismatch"
+        (barrier_detector pc b).Detector.apply ~id:b.Sync.bid ~ranges:b.Sync.branges payload
       in
-      pc.counters.collect_time_ns <- pc.counters.collect_time_ns + apply_ns;
-      bump_region_ns t b.Sync.branges apply_ns;
-      pc.counters.data_received_bytes <- pc.counters.data_received_bytes + app;
-      (match t.obsv with
-      | None -> ()
-      | Some o ->
-          Obs.span o Obs.Apply ~proc:p ~sync:b.Sync.bid ~bytes:app ~t0:deliver
-            ~t1:(deliver + apply_ns) ();
-          Metrics.observe (Obs.metrics o) ~name:"apply_ns"
-            ~label:(barrier_label p b.Sync.bid) apply_ns);
-      if max_time > 0 then pc.lamport <- max pc.lamport max_time;
+      record_apply t pc ~sync:b.Sync.bid ~label:barrier_label
+        ~ranges:b.Sync.branges ~at:deliver ~app apply_ns;
+      if max_time > 0 then t.env.lamport.(p) <- max t.env.lamport.(p) max_time;
       a.Sync.a_waker ~at:(deliver + apply_ns)
       end)
     arrivals;
@@ -1966,10 +1216,6 @@ let barrier_release t (b : Sync.barrier) =
   b.Sync.episode <- b.Sync.episode + 1;
   b.Sync.crossings <- b.Sync.crossings + 1;
   b.Sync.arrived <- [];
-  (* Barrier-bound regions adapt here: the episode is over, every
-     mailbox is drained, and the next episode's collections run under
-     whatever the switch installs. *)
-  maybe_adapt t b.Sync.branges ~at:t_release;
   match t.checker with
   | Some ch -> Midway_check.Check.on_barrier_complete ch ~id:b.Sync.bid
   | None -> ()
@@ -1990,45 +1236,14 @@ let barrier c b =
     | None -> ()
   end
   else begin
-    let pages0 = if t.obsv = None then 0 else c.counters.pages_diffed in
-    let dirty0 = if t.obsv = None then 0 else c.counters.dirty_bytes_found in
-    let collect_t0 = now_ns c in
-    let payload, collect_ns, stamp = barrier_collect c b in
-    c.counters.collect_time_ns <- c.counters.collect_time_ns + collect_ns;
-    bump_region_ns t b.Sync.branges collect_ns;
-    Engine.charge c.proc collect_ns;
+    let d = barrier_detector c b in
+    let col =
+      record_collect t c d ~sync:b.Sync.bid ~label:barrier_label
+        ~ranges:b.Sync.branges ~at:(now_ns c) (fun () -> d.Detector.collect_barrier b)
+    in
+    Engine.charge c.proc col.Detector.ns;
+    let payload = col.Detector.payload and stamp = col.Detector.cursor in
     let app = Payload.app_bytes payload in
-    (match t.policy with
-    | None -> ()
-    | Some p -> (
-        match first_bound_region t b.Sync.branges with
-        | None -> ()
-        | Some region ->
-            let pages, runs = payload_page_stats t payload in
-            Policy.note_collect p ~region:region.Region.index
-              ~line_size:region.Region.line_size
-              ~bound_bytes:(Range.total_bytes b.Sync.branges) ~payload_bytes:app
-              ~payload_pages:pages ~payload_runs:runs ~rebound:false));
-    c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        let bid = b.Sync.bid in
-        let lbl = barrier_label c.cid bid in
-        let m = Obs.metrics o in
-        Obs.span o Obs.Collect ~proc:c.cid ~sync:bid ~bytes:app ~t0:collect_t0
-          ~t1:(now_ns c) ();
-        Obs.span o Obs.Diff ~proc:c.cid ~sync:bid
-          ~note:(diff_note (state_for c (elected_backend ~conflict:Config.Twin t b.Sync.branges)))
-          ~t0:collect_t0 ~t1:(now_ns c) ();
-        Metrics.observe m ~name:"collect_ns" ~label:lbl collect_ns;
-        Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
-        let pages = c.counters.pages_diffed - pages0 in
-        if pages > 0 then
-          Metrics.observe m ~name:"diff_bytes_per_page"
-            ~label:(Printf.sprintf "p%d" c.cid)
-            ~buckets:Metrics.bytes_buckets
-            ((c.counters.dirty_bytes_found - dirty0) / pages));
     if c.cid <> b.Sync.manager then c.counters.messages <- c.counters.messages + 1;
     (* With crash faults armed the arrival can exhaust its retries
        against a dead manager; the lowest live processor takes over the
@@ -2260,38 +1475,21 @@ let check_invariants t =
       if l.Sync.pending <> [] then
         report "lock %d has %d pending request(s) at end of run" l.Sync.lid
           (List.length l.Sync.pending);
-      (* RT: only the owner may have unstamped (locally dirty) lines in
-         the lock's bound ranges — a sentinel elsewhere means a processor
-         wrote the data without holding the lock.  The gate is per lock:
-         on a mixed machine each lock answers to its elected backend
-         (switches reset the departed backend's region state, so the
-         check stays sound across re-elections). *)
-      if elected_backend t l.Sync.ranges = Config.Rt && not t.cfg.untargetted then
-        let killed p =
-          match t.crash with Some cr -> cr.cr_killed.(p) | None -> false
-        in
-        Array.iteri
-          (fun p (ctx : ctx) ->
-            (* A crash-stopped processor legitimately leaves its lost
-               in-section writes locally dirty: they were never collected
-               and the failover reverted everyone else to the replica. *)
-            if p <> l.Sync.owner && not (killed p) then
-              match (match ctx.backend with B_rt db -> Some db | _ -> ctx.alt_rt) with
-              | Some db ->
-                  List.iter
-                    (fun (range : Range.t) ->
-                      Range.iter_lines range ~line_size:(region_of ctx range.Range.addr).Region.line_size
-                        ~f:(fun ~addr ~len:_ ->
-                          if
-                            Dirtybits.line_ts db ~region:(region_of ctx addr) ~addr
-                            = Timestamp.locally_dirty
-                          then
-                            report
-                              "lock %d: p%d has a locally dirty line at %#x without ownership"
-                              l.Sync.lid p addr))
-                    l.Sync.ranges
-              | None -> ())
-          t.ctxs)
+      (* Each lock answers to its elected backend (switches reset the
+         departed backend's region state, so the check stays sound across
+         re-elections).  A crash-stopped processor legitimately leaves
+         its lost in-section writes locally dirty: they were never
+         collected and the failover reverted everyone else to the
+         replica. *)
+      let killed p = match t.crash with Some cr -> cr.cr_killed.(p) | None -> false in
+      let lb = elected_backend t l.Sync.ranges in
+      Array.iteri
+        (fun p ctx ->
+          if p <> l.Sync.owner && not (killed p) then
+            List.iter
+              (report "lock %d: p%d has a locally dirty line at %#x without ownership" l.Sync.lid p)
+              ((detector ctx lb).Detector.stray_dirty_lines l))
+        t.ctxs)
     t.locks;
   List.iter
     (fun (b : Sync.barrier) ->
@@ -2305,23 +1503,15 @@ let check_invariants t =
       report "reliable channel has %d unacked message(s) in flight at end of run"
         (Reliable.unacked ch)
   | Some _ | None -> ());
-  (* VM: every dirty page must have a twin — in the machine-default
-     state and in any alternate state a hybrid election created. *)
+  (* VM: every dirty page must have a twin, in every detector in use. *)
   Array.iter
     (fun (ctx : ctx) ->
-      let vms =
-        (match ctx.backend with B_vm vm -> [ vm ] | _ -> [])
-        @ match ctx.alt_vm with Some vm -> [ vm ] | None -> []
-      in
       List.iter
-        (fun vm ->
+        (fun (_, d) ->
           List.iter
-            (fun (p : Midway_vmem.Page_table.page) ->
-              if p.Midway_vmem.Page_table.twin = None then
-                report "p%d: dirty page %d without a twin" ctx.cid
-                  p.Midway_vmem.Page_table.number)
-            (Midway_vmem.Page_table.dirty_pages (Vm_state.page_table vm)))
-        vms)
+            (report "p%d: dirty page %d without a twin" ctx.cid)
+            (d.Detector.untwinned_pages ()))
+        ctx.detectors)
     t.ctxs;
   (* Every bound range must point at mapped, allocated memory: a lock
      left bound to freed or never-allocated space would make collection
@@ -2390,9 +1580,7 @@ let region_backend_at t ~addr = backend_of_region t (region_index_of t addr)
 
 let region_assignments t =
   let out = ref [] in
-  Array.iteri
-    (fun i b -> match b with Some b -> out := (i, b) :: !out | None -> ())
-    t.region_backend;
+  Array.iteri (fun i b -> if b <> t.cfg.backend then out := (i, b) :: !out) t.region_backend;
   List.rev !out
 
 let backend_switches t = t.switches
@@ -2402,8 +1590,11 @@ let region_collect_ns t =
 
 let set_region_backend t ~addr b =
   let idx = region_index_of t addr in
+  if barrier_bound t idx then
+    invalid_arg
+      "Runtime.set_region_backend: a barrier binds data in the region (barrier-bound regions \
+       are never re-elected)";
   if not (safe_to_switch t idx) then
     invalid_arg
-      "Runtime.set_region_backend: a binding in the region is held or mid-episode (not a \
-       safe point)";
+      "Runtime.set_region_backend: a lock bound in the region is held (not a safe point)";
   switch_region_backend t ~region_index:idx ~to_:b ~at:(Engine.elapsed t.engine)

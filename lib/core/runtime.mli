@@ -69,7 +69,11 @@ val new_barrier : t -> ?participants:int -> ?manager:int -> Range.t list -> Sync
     given ranges; bound data is made consistent at every crossing.
     [manager] (default 0) is the processor that merges and redistributes
     arrivals — for a neighbour-pair barrier pick one of the members so
-    traffic does not detour through processor 0. *)
+    traffic does not detour through processor 0.  Raises
+    [Invalid_argument] when a barrier of more than one participant
+    binds data that cannot travel with it: under the untargetted model
+    (lock-based sharing only) or on a region whose backend (blast)
+    detects no writes. *)
 
 exception Crash_unavailable of string
 (** With crash faults armed: a live requester suspected a dead lock
@@ -140,14 +144,17 @@ val availability : t -> float
 
     Write detection is a per-region choice: every region runs the
     machine-wide default backend until it is re-elected, either manually
-    ({!set_region_backend}), at allocation time ({!Config.t.striped}),
-    or online by the adaptive controller ({!Config.t.adaptive}, see
-    {!Policy} and doc/ADAPTIVE.md).  A switch is only legal at a safe
-    point — no intersecting lock held or read-held, no intersecting
-    barrier mid-episode — and epoch-bumps every intersecting binding
+    ({!set_region_backend}) or online by the adaptive controller
+    ({!Config.t.adaptive}, see {!Policy} and doc/ADAPTIVE.md).  Stores,
+    collections and applies reach the region's {!Detector} instance
+    through one lookup, whether or not anything was ever re-elected.  A
+    switch is only legal at a safe point — no intersecting lock held or
+    read-held — and epoch-bumps every intersecting lock
     ({!Sync.rebind_lock}), so the next transfer after a switch is a
     diff-free full and no stale detection state can leak across the
-    boundary. *)
+    boundary.  A region that a data-carrying barrier binds is never
+    re-elected: barrier participants hold uncollected writes until
+    their next arrival, and no epoch bump reaches them. *)
 
 val region_backend_at : t -> addr:int -> Config.backend
 (** The backend currently electing write detection for the region
@@ -157,9 +164,9 @@ val set_region_backend : t -> addr:int -> Config.backend -> unit
 (** Manually re-elect the backend of the region containing [addr].
     Raises [Invalid_argument] if either side of the switch is not
     electable ([Vm_fine] and [Standalone] are machine-wide only), if
-    the configuration is untargetted, or if the region is not at a safe
-    point.  A no-op when the region already runs the requested
-    backend. *)
+    the configuration is untargetted, if a barrier binds data in the
+    region, or if the region is not at a safe point.  A no-op when the
+    region already runs the requested backend. *)
 
 val region_assignments : t -> (int * Config.backend) list
 (** Regions whose backend differs from the machine default, as

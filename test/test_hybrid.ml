@@ -322,15 +322,19 @@ let test_vm_collect_crosses_region_is_loud () =
 
 (* Four lock areas, each filling its own 4 KB region; every processor
    does commutative lock-guarded adds, so the converged image is
-   schedule- and backend-independent.  A striped machine (regions
-   alternating rt/vm) must produce the identical image, and per-region
+   schedule- and backend-independent.  A striped machine (odd regions
+   re-elected to vm before the run) must produce the identical image, and per-region
    collect accounting must sum exactly to the processors' collect_time
    counters. *)
 
-let run_mixed_program ~nprocs ~seed cfg =
+let run_mixed_program ?(stripe = false) ~nprocs ~seed cfg =
   let areas = 4 and cells = 16 in
   let machine = R.create cfg in
   let bases = Array.init areas (fun _ -> R.alloc machine ~line_size:64 4096) in
+  if stripe then
+    Array.iteri
+      (fun a base -> if a land 1 = 1 then R.set_region_backend machine ~addr:base Config.Vm)
+      bases;
   let locks =
     Array.init areas (fun a ->
         R.new_lock machine ~owner:(a mod nprocs) [ Range.v bases.(a) (cells * 8) ])
@@ -381,10 +385,7 @@ let mixed_digest_prop =
       let cfg backend = { (Config.make backend ~nprocs) with Config.region_size = 4096 } in
       let m_rt, img_rt = run_mixed_program ~nprocs ~seed (cfg Config.Rt) in
       let m_vm, img_vm = run_mixed_program ~nprocs ~seed (cfg Config.Vm) in
-      let m_mix, img_mix =
-        run_mixed_program ~nprocs ~seed
-          { (cfg Config.Rt) with Config.striped = Some Config.Vm }
-      in
+      let m_mix, img_mix = run_mixed_program ~stripe:true ~nprocs ~seed (cfg Config.Rt) in
       List.for_all (fun m -> R.check_invariants m = []) [ m_rt; m_vm; m_mix ]
       && R.region_assignments m_mix <> []  (* odd regions really run vm *)
       && List.for_all region_accounting_consistent [ m_rt; m_vm; m_mix ]
@@ -560,6 +561,34 @@ let test_vm_fine_machine_not_electable () =
   | _ -> Alcotest.fail "a vm-fine machine is not per-region electable"
   | exception Invalid_argument _ -> ()
 
+(* --- barrier-bound regions keep their backend ---------------------------- *)
+
+(* A barrier participant keeps its writes uncollected until its next
+   arrival, and a switch's epoch bump reaches only locks: re-electing a
+   region a data-carrying barrier binds would wipe those writes. *)
+let test_barrier_bound_region_not_electable () =
+  let machine = R.create (Config.make Config.Rt ~nprocs:2) in
+  let data = R.alloc machine ~line_size:64 256 in
+  ignore (R.new_lock machine [ Range.v data 64 ]);
+  ignore (R.new_barrier machine [ Range.v (data + 128) 128 ]);
+  (match R.set_region_backend machine ~addr:data Config.Vm with
+  | _ -> Alcotest.fail "a barrier-bound region must not be re-elected"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "no switch committed" 0 (R.backend_switches machine);
+  Alcotest.(check string) "the region keeps the machine backend" "rt"
+    (Config.backend_name (R.region_backend_at machine ~addr:data))
+
+let test_sor_vm_adaptive_correct () =
+  (* pair barriers bind sor's boundary rows; from vm the controller used
+     to re-elect their region and lose a neighbour's uncollected writes *)
+  List.iter
+    (fun nprocs ->
+      let cfg = { (Config.make Config.Vm ~nprocs) with Config.adaptive = true } in
+      let o = Midway_report.Suite.run_app Midway_report.Suite.Sor cfg ~scale:0.05 in
+      Alcotest.(check bool) (Printf.sprintf "sor oracle at %d procs" nprocs) true o.Outcome.ok;
+      Alcotest.(check (list string)) "invariants" [] (R.check_invariants o.Outcome.machine))
+    [ 4; 8 ]
+
 (* --- the adaptive controller end to end ---------------------------------- *)
 
 let test_adaptive_beats_both_pures_on_hybrid () =
@@ -630,6 +659,9 @@ let () =
         [
           Alcotest.test_case "manual switch safety" `Quick test_manual_switch_safety;
           Alcotest.test_case "vm-fine not electable" `Quick test_vm_fine_machine_not_electable;
+          Alcotest.test_case "barrier-bound region not electable" `Quick
+            test_barrier_bound_region_not_electable;
+          Alcotest.test_case "sor vm-adaptive correct" `Quick test_sor_vm_adaptive_correct;
         ] );
       ( "adaptive end to end",
         [

@@ -308,10 +308,14 @@ let test_standalone_multiproc_rejected () =
 let test_blast_barrier_data_rejected () =
   let machine = R.create (Config.make Config.Blast ~nprocs:2) in
   let a = R.alloc machine 8 in
-  let bar = R.new_barrier machine [ Range.v a 8 ] in
-  let raised = ref false in
-  (try R.run machine (fun c -> R.barrier c bar) with Failure _ -> raised := true);
-  Alcotest.(check bool) "blast barrier with bound data rejected" true !raised
+  Alcotest.check_raises "blast barrier with bound data rejected at construction"
+    (Invalid_argument "Runtime.new_barrier: the blast backend cannot carry barrier-bound data")
+    (fun () -> ignore (R.new_barrier machine [ Range.v a 8 ]));
+  (* a data-free barrier, and a one-participant one, stay legal *)
+  let bar = R.new_barrier machine [] in
+  ignore (R.new_barrier machine ~participants:1 [ Range.v a 8 ]);
+  R.run machine (fun c -> R.barrier c bar);
+  Alcotest.(check (list string)) "invariants" [] (R.check_invariants machine)
 
 let test_deadlock_detected () =
   let machine = R.create (Config.make Config.Rt ~nprocs:2) in
@@ -587,10 +591,11 @@ let test_untargetted_validation () =
   let cfg = { (Config.make Config.Rt ~nprocs:2) with Config.untargetted = true } in
   let machine = R.create cfg in
   let a = R.alloc machine 8 in
-  let bar = R.new_barrier machine [ Range.v a 8 ] in
-  let raised = ref false in
-  (try R.run machine (fun c -> R.barrier c bar) with Failure _ -> raised := true);
-  Alcotest.(check bool) "untargetted barrier data rejected" true !raised
+  Alcotest.check_raises "untargetted barrier data rejected at construction"
+    (Invalid_argument
+       "Runtime.new_barrier: the untargetted model supports lock-based data sharing only (no \
+        barrier-bound data)")
+    (fun () -> ignore (R.new_barrier machine [ Range.v a 8 ]))
 
 (* --- twin backend (section 3.5) --------------------------------------------- *)
 
