@@ -7,6 +7,12 @@
    pure function of the simulated machine: any host-side optimization of
    the simulator's hot paths must leave it byte-identical.
 
+   The closing [views] rows re-run a few configurations with the trace
+   ring (capacity 64) and the observability layer armed, and pin what a
+   reader of the run sees: the span count and digests of the Perfetto
+   JSON, the metrics JSON and the ring dump.  Together they cover every
+   protocol event kind and every span kind the runtime records.
+
    Usage:
      midway-fingerprint [--scale F] [--nprocs N]
 
@@ -56,6 +62,24 @@ let print_outcome label (o : Midway_apps.Outcome.t) =
         (String.concat " "
            (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (counter_fields c))))
     (Midway.Runtime.all_counters machine)
+
+(* No [ok=] here: a crash run of a paper app loses the dead worker's
+   share by design. *)
+let print_views label cfg run =
+  let (o : Midway_apps.Outcome.t) =
+    run { cfg with Config.trace_capacity = 64; obs = true }
+  in
+  let machine = o.Midway_apps.Outcome.machine in
+  let obs = Option.get (Midway.Runtime.obs machine) in
+  let spans = Midway_obs.Obs.spans obs in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let json j = digest (Midway_util.Json.to_string j) in
+  let trace = Midway.Runtime.trace machine in
+  Printf.printf "%s views spans=%d events=%d perfetto=%s metrics=%s ring=%s\n" label
+    (List.length spans) (Midway.Trace.total trace)
+    (json (Midway_obs.Trace_export.to_json ~name:label spans))
+    (json (Midway_obs.Metrics.to_json (Midway_obs.Metrics.snapshot (Midway_obs.Obs.metrics obs))))
+    (digest (Midway.Trace.dump trace))
 
 let () =
   let scale = ref 0.1 and nprocs = ref 8 in
@@ -126,4 +150,28 @@ let () =
         (Midway_report.Suite.run_app app (adaptive Config.Vm) ~scale))
     [ Midway_report.Suite.Quicksort; Midway_report.Suite.Cholesky ];
   print_outcome "hybrid/rt-adaptive"
-    (Midway_apps.Hybrid.run (adaptive Config.Rt) Midway_apps.Hybrid.default)
+    (Midway_apps.Hybrid.run (adaptive Config.Rt) Midway_apps.Hybrid.default);
+  let app a cfg = Midway_report.Suite.run_app a cfg ~scale in
+  let crash_plan =
+    match Midway_simnet.Crash.parse_spec ~nprocs "stop@5ms:p1,recover@20ms:p1" with
+    | Ok plan -> plan
+    | Error msg -> failwith msg
+  in
+  List.iter
+    (fun (label, cfg, run) -> print_views label cfg run)
+    [
+      ("sor/rt", Config.make Config.Rt ~nprocs, app Midway_report.Suite.Sor);
+      ("water/vm", Config.make Config.Vm ~nprocs, app Midway_report.Suite.Water);
+      ("quicksort/twin", Config.make Config.Twin ~nprocs, app Midway_report.Suite.Quicksort);
+      ( "water/rt+faults",
+        Config.with_faults ~drop:0.1 ~seed:42 (Config.make Config.Rt ~nprocs),
+        app Midway_report.Suite.Water );
+      ( "cholesky/vm+crash",
+        (* The survivors poll a task queue the dead worker never drains;
+           a 100 ms watchdog ends the run after one quorum failover. *)
+        Config.with_crash ~watchdog_ns:100_000_000 crash_plan (Config.make Config.Vm ~nprocs),
+        app Midway_report.Suite.Cholesky );
+      ( "hybrid/rt-adaptive",
+        adaptive Config.Rt,
+        fun cfg -> Midway_apps.Hybrid.run cfg Midway_apps.Hybrid.default );
+    ]
