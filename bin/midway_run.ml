@@ -64,18 +64,6 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
         Printf.eprintf "unknown rt mode %S (expected plain|two-level|update-queue)\n" s;
         exit 2
   in
-  if ecsan && untargetted then begin
-    Printf.eprintf "--ecsan does not support the untargetted model (no per-lock bindings to check)\n";
-    exit 2
-  end;
-  if adaptive && not (backend = Midway.Config.Rt || backend = Midway.Config.Vm) then begin
-    Printf.eprintf "--adaptive needs --backend rt or vm (the per-region electable backends)\n";
-    exit 2
-  end;
-  if adaptive && untargetted then begin
-    Printf.eprintf "--adaptive needs per-lock bindings (not the untargetted model)\n";
-    exit 2
-  end;
   let nprocs = if backend = Midway.Config.Standalone then 1 else nprocs in
   let crash_plan =
     match crash_spec with
@@ -155,12 +143,8 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
       | Some file ->
           Midway_obs.Trace_export.write file
             (Midway_obs.Trace_export.to_json ~name:run_name (Midway_obs.Obs.spans o));
-          Printf.printf "\nwrote %d span(s)%s to %s (open in Perfetto / chrome://tracing)\n"
-            (Midway_obs.Obs.span_count o)
-            (match Midway_obs.Obs.dropped o with
-            | 0 -> ""
-            | d -> Printf.sprintf " (+%d dropped past --obs cap)" d)
-            file
+          Printf.printf "\nwrote %d span(s) to %s (open in Perfetto / chrome://tracing)\n"
+            (Midway_obs.Obs.span_count o) file
       | None -> ());
       let snap = Midway_obs.Metrics.snapshot (Midway_obs.Obs.metrics o) in
       (match metrics_out with

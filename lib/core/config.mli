@@ -136,10 +136,6 @@ type t = {
           records nothing, and recording never charges simulated time,
           so results are bit-identical either way — the same contract as
           [ecsan]. *)
-  obs_span_cap : int;
-      (** maximum spans retained when [obs] is armed; [0] = unbounded.
-          Past the cap spans are counted as dropped, not recorded;
-          metrics are unaffected. *)
   (* per-region hybrid detection *)
   adaptive : bool;
       (** arm the online per-region backend controller ({!Policy}): at

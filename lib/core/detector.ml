@@ -370,27 +370,6 @@ let vm_trap p vm (region : Region.t) addr len =
 let rebound_since (l : Sync.lock) ~seen ~current =
   seen < current && List.exists (fun (inc, e) -> inc > seen && e = Sync.Full_marker) l.vm_log
 
-let vm_debug_lid =
-  match Sys.getenv_opt "MIDWAY_VM_DEBUG" with
-  | Some s -> int_of_string_opt s
-  | None -> None
-
-let debug_payload payload =
-  let pieces ps =
-    String.concat ","
-      (List.map
-         (fun (pc : Payload.vm_piece) -> Printf.sprintf "%d+%d" pc.addr (Bytes.length pc.data))
-         ps)
-  in
-  match payload with
-  | Payload.Vm_full ps -> Printf.sprintf "full[%s]" (pieces ps)
-  | Payload.Vm_updates us ->
-      String.concat " | "
-        (List.map
-           (fun (u : Payload.vm_update) -> Printf.sprintf "inc%d:%s" u.incarnation (pieces u.pieces))
-           us)
-  | _ -> "empty"
-
 (* Serve [for_] from the lock's incarnation log.  VM and twin differ only
    in [diff] (this processor's fresh pieces and their cost) and [rebase]
    (make the current bound data the comparison baseline after a
@@ -442,9 +421,6 @@ let log_collect p (l : Sync.lock) ~for_ ~diff ~rebase =
       if (not covered) || bytes > bound then full () else Payload.Vm_updates updates
     end
   in
-  if vm_debug_lid = Some l.lid then
-    Printf.eprintf "[vm] lock %d: p%d serves p%d seen=%d inc=%d -> %s\n%!" l.lid p.id for_ seen
-      this_inc (debug_payload payload);
   { payload; ns; cursor = this_inc; rebound }
 
 let log_detector p ~note ~trap ~diff ~rebase ~apply_pieces ~forget ~untwinned_pages =

@@ -7,7 +7,6 @@ module Crash = Midway_simnet.Crash
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
-module Metrics = Midway_obs.Metrics
 
 type ctx = {
   cid : int;
@@ -49,19 +48,19 @@ and t = {
   mutable region_backend : Config.backend array;
       (* by region index; regions past the end run the machine default *)
   mutable switches : int;  (* backend switches committed so far *)
-  region_ns : (int, int) Hashtbl.t;
-      (* region index -> collect+apply ns attributed to transfers of
-         bindings rooted there (host-side accounting; -1 buckets
-         transfers with no bound data).  Mirrors every increment of the
-         per-processor [collect_time_ns] counters. *)
   policy : Policy.t option;  (* Some iff cfg.adaptive *)
   checker : Midway_check.Check.t option;
-  obsv : Obs.t option;
-      (* Some iff cfg.obs: the structured span log and metrics registry.
-         Every hook below is a single match on this field, and recording
-         never charges virtual time, so the default run takes the exact
-         pre-obs code path. *)
+  obsv : Obs.t option;  (* Some iff cfg.obs: the span log and metrics registry *)
+  traced : bool;
+      (* some view keeps point events: the ring (trace_capacity > 0) or
+         obs.  Interval facts are built only when [obsv] is armed. *)
 }
+
+(* Every protocol fact goes through here, once; [Trace.emit] derives the
+   ring entry, spans and metrics.  Sites build their event only under
+   [t.traced] (point events) or [t.obsv != None] (interval facts), so a
+   default run builds nothing, and no view ever charges virtual time. *)
+let emit t e = Trace.emit t.trace t.obsv e
 
 let create (cfg : Config.t) =
   if cfg.backend = Config.Standalone && cfg.nprocs > 1 then
@@ -114,46 +113,9 @@ let create (cfg : Config.t) =
     else
       (* First-occurrence context: the tail of the protocol trace (empty
          unless trace_capacity > 0). *)
-      let context () =
-        let evs = Trace.events trace in
-        let n = List.length evs in
-        let rec drop k = function l when k <= 0 -> l | [] -> [] | _ :: tl -> drop (k - 1) tl in
-        List.map (Format.asprintf "%a" Trace.pp_event) (drop (n - 3) evs)
-      in
-      Some (Midway_check.Check.create ~context ~nprocs:cfg.nprocs ())
+      Some
+        (Midway_check.Check.create ~context:(fun () -> Trace.tail trace 3) ~nprocs:cfg.nprocs ())
   in
-  let obsv = if cfg.obs then Some (Obs.create ~cap:cfg.obs_span_cap ()) else None in
-  (match obsv with
-  | None -> ()
-  | Some o ->
-      (* Generic scheduler-block spans (reason = what the fiber waited
-         on) and, with faults armed, reliable-channel episodes.  Both
-         hooks read values the simulator computed anyway. *)
-      Engine.set_block_observer engine
-        (Some
-           (fun ~proc ~reason ~blocked_at ~woke_at ->
-             Obs.span o Obs.Sched_block ~proc
-               ~note:(Option.value reason ~default:"")
-               ~t0:blocked_at ~t1:woke_at ()));
-      (match reliable with
-      | None -> ()
-      | Some ch ->
-          Reliable.set_observer ch
-            (Some
-               (fun (e : Reliable.episode) ->
-                 let m = Obs.metrics o in
-                 let chan = Printf.sprintf "p%d->p%d" e.Reliable.e_src e.Reliable.e_dst in
-                 Metrics.observe m ~name:"retransmits_per_send" ~label:chan
-                   ~buckets:Metrics.count_buckets e.Reliable.e_retransmits;
-                 Metrics.incr m ~name:"reliable_sends" ~label:chan 1;
-                 if e.Reliable.e_retransmits > 0 then
-                   Obs.span o Obs.Retransmit ~proc:e.Reliable.e_src
-                     ~bytes:e.Reliable.e_payload_bytes
-                     ~note:
-                       (Printf.sprintf "%s seq %d to p%d (%d retransmit(s))"
-                          (Net.kind_name e.Reliable.e_kind) e.Reliable.e_seq
-                          e.Reliable.e_dst e.Reliable.e_retransmits)
-                     ~t0:e.Reliable.e_sent_at ~t1:e.Reliable.e_acked_at ()))));
   let machine =
     {
       cfg;
@@ -181,12 +143,25 @@ let create (cfg : Config.t) =
       ran = false;
       region_backend = Array.make 16 cfg.backend;
       switches = 0;
-      region_ns = Hashtbl.create 16;
       policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
       checker = check;
-      obsv;
+      obsv = (if cfg.obs then Some (Obs.create ()) else None);
+      traced = cfg.trace_capacity > 0 || cfg.obs;
     }
   in
+  (* The scheduler's blocks and the reliable channel's exchanges are
+     interval facts: their hooks are armed with obs only. *)
+  if cfg.obs then begin
+    Engine.set_block_observer engine
+      (Some
+         (fun ~proc ~reason ~blocked_at ~woke_at ->
+           emit machine
+             (Trace.Proc_blocked
+                { t = blocked_at; t1 = woke_at; proc; reason = Option.value reason ~default:"" })));
+    Option.iter
+      (fun ch -> Reliable.set_observer ch (Some (fun ep -> emit machine (Trace.Reliable_sent ep))))
+      reliable
+  end;
   machine.ctxs <-
     Array.init cfg.nprocs (fun cid ->
         let counters = Counters.create () in
@@ -215,11 +190,6 @@ let trace t = t.trace
 let obs t = t.obsv
 
 let all_counters t = Array.map (fun c -> c.counters) t.ctxs
-
-(* Observability label conventions: "p3/lock2", "p0/barrier1". *)
-let lock_label p lid = Printf.sprintf "p%d/lock%d" p lid
-
-let barrier_label p bid = Printf.sprintf "p%d/barrier%d" p bid
 
 (* ------------------------------------------------------------------ *)
 (* Per-region backend election (hybrid write detection)                *)
@@ -279,20 +249,6 @@ let elected_backend ?(conflict = Config.Blast) t ranges = elect t ~conflict rang
 
 let barrier_detector c (b : Sync.barrier) =
   detector c (elected_backend ~conflict:Config.Twin c.machine b.Sync.branges)
-
-(* Host-side per-region time accounting: mirrors every increment of the
-   per-processor [collect_time_ns] counters, attributed to the region of
-   the binding's first non-empty range (-1 when there is none). *)
-let bump_region_ns t ranges ns =
-  if ns <> 0 then begin
-    let idx =
-      match List.find_opt (fun (r : Range.t) -> not (Range.is_empty r)) ranges with
-      | Some r -> region_index_of t r.Range.addr
-      | None -> -1
-    in
-    let cur = match Hashtbl.find_opt t.region_ns idx with Some v -> v | None -> 0 in
-    Hashtbl.replace t.region_ns idx (cur + ns)
-  end
 
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:t.cfg.default_line_size in
@@ -571,9 +527,10 @@ let replicate_at_release (c : ctx) (l : Sync.lock) =
       l.Sync.backups <- backups;
       l.Sync.replica <- Some (l.Sync.incarnation, snapshot);
       c.counters.replications <- c.counters.replications + List.length backups;
-      match t.obsv with
-      | None -> ()
-      | Some o -> Metrics.incr (Obs.metrics o) ~name:"replications" ~label:(Printf.sprintf "p%d" c.cid) 1
+      if t.obsv != None then
+        emit t
+          (Trace.Replicated
+             { t = at; lock = l.Sync.lid; proc = c.cid; backups = List.length backups })
 
 (* Quorum ownership transfer away from a suspected-dead owner.  The
    initiator polls every reachable processor (Vote / Vote_reply round
@@ -600,11 +557,8 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
   done;
   let quorum = (n / 2) + 1 in
   if !votes < quorum then begin
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        Metrics.incr (Obs.metrics o) ~name:"failover_no_quorum"
-          ~label:(Printf.sprintf "lock%d" l.Sync.lid) 1);
+    if t.obsv != None then
+      emit t (Trace.Failover_no_quorum { t = at; lock = l.Sync.lid; proc = new_owner });
     None
   end
   else begin
@@ -651,23 +605,18 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
     l.Sync.free_at <- max l.Sync.free_at !t_done;
     l.Sync.failovers <- l.Sync.failovers + 1;
     nc.counters.failovers <- nc.counters.failovers + 1;
-    Trace.record t.trace
-      (Trace.Lock_failover
-         {
-           t = !t_done;
-           lock = l.Sync.lid;
-           from_ = suspect;
-           to_ = new_owner;
-           epoch = l.Sync.incarnation;
-           votes = !votes;
-         });
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        Obs.span o Obs.Failover ~proc:new_owner ~sync:l.Sync.lid
-          ~note:(Printf.sprintf "p%d suspected, %d vote(s)" suspect !votes)
-          ~t0:at ~t1:(max at !t_done) ();
-        Metrics.incr (Obs.metrics o) ~name:"failovers" ~label:(lock_label new_owner l.Sync.lid) 1);
+    if t.traced then
+      emit t
+        (Trace.Lock_failover
+           {
+             t = !t_done;
+             since = at;
+             lock = l.Sync.lid;
+             from_ = suspect;
+             to_ = new_owner;
+             epoch = l.Sync.incarnation;
+             votes = !votes;
+           });
     Some !t_done
   end
 
@@ -733,19 +682,15 @@ let switch_region_backend t ~region_index ~to_ ~at =
         Array.iter
           (fun c -> List.iter (fun (_, d) -> d.Detector.forget region) c.detectors)
           t.ctxs);
-    Trace.record t.trace
-      (Trace.Backend_switched
-         {
-           t = at;
-           region = region_index;
-           from_ = Config.backend_name from_;
-           to_ = Config.backend_name to_;
-         });
-    match t.obsv with
-    | None -> ()
-    | Some o ->
-        Metrics.incr (Obs.metrics o) ~name:"backend_switches"
-          ~label:(Printf.sprintf "region%d" region_index) 1
+    if t.traced then
+      emit t
+        (Trace.Backend_switched
+           {
+             t = at;
+             region = region_index;
+             from_ = Config.backend_name from_;
+             to_ = Config.backend_name to_;
+           })
   end
 
 (* Payload shape as the policy sees it: distinct pages and contiguous
@@ -795,15 +740,8 @@ let maybe_adapt t ranges ~at =
               match backend_of_region t idx with
               | (Config.Rt | Config.Vm) as current ->
                   if safe_to_switch t idx && not (barrier_bound t idx) then (
-                    let w = Policy.window p ~region:idx in
                     match Policy.decide p ~region:idx ~current with
                     | Some target ->
-                        (if Sys.getenv_opt "MIDWAY_POLICY_DEBUG" <> None then
-                           let collects, rt_ns, vm_ns = w in
-                           Printf.eprintf
-                             "[policy] region %d %s->%s collects=%d est_rt=%d est_vm=%d\n%!"
-                             idx (Config.backend_name current) (Config.backend_name target)
-                             collects rt_ns vm_ns);
                         switch_region_backend t ~region_index:idx ~to_:target ~at;
                         Policy.note_switch p ~region:idx
                     | None -> ())
@@ -812,21 +750,19 @@ let maybe_adapt t ranges ~at =
           end)
         ranges
 
-(* Account one collection by [c] for sync object [sync], starting at
-   [at]: counters, per-region time, obs spans and metrics (labelled
-   [label c.cid sync], built only when obs is armed), and the
+(* Account one collection by [c] for sync object [sync] (a barrier iff
+   [barrier]), starting at [at]: counters, the [Collected] event, and the
    adaptive policy's feed.  Only lock transfers pass [app_rebound]
    (whether the application rebound the lock since the last backend
    switch) and feed the policy: barrier-bound regions are never
    re-elected. *)
-let record_collect ?app_rebound t (c : ctx) (d : Detector.t) ~sync ~label ~ranges ~at collect =
-  (* Side-effect-free counter reads, taken only to attribute this
-     collection's page-diff output to the obs registry. *)
+let record_collect ?app_rebound t (c : ctx) (d : Detector.t) ~sync ~barrier ~ranges ~at collect =
+  (* Side-effect-free counter reads: the event attributes this
+     collection's page-diff output. *)
   let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
   let (col : Detector.collection) = collect () in
   let ns = col.ns and app = Payload.app_bytes col.payload in
   c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
-  bump_region_ns t ranges ns;
   c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
   (match (t.policy, app_rebound) with
   | Some p, Some app_rebound -> (
@@ -844,32 +780,28 @@ let record_collect ?app_rebound t (c : ctx) (d : Detector.t) ~sync ~label ~range
             ~bound_bytes:(Range.total_bytes ranges) ~payload_bytes:app ~payload_pages:pages
             ~payload_runs:runs ~rebound:(app_rebound && col.rebound))
   | _ -> ());
-  (match t.obsv with
-  | None -> ()
-  | Some o ->
-      let m = Obs.metrics o and label = label c.cid sync in
-      Obs.span o Obs.Collect ~proc:c.cid ~sync ~bytes:app ~t0:at ~t1:(at + ns) ();
-      Obs.span o Obs.Diff ~proc:c.cid ~sync ~note:d.Detector.note ~t0:at ~t1:(at + ns) ();
-      Metrics.observe m ~name:"collect_ns" ~label ns;
-      Metrics.observe m ~name:"transfer_bytes" ~label ~buckets:Metrics.bytes_buckets app;
-      let pages = c.counters.pages_diffed - pages0 in
-      if pages > 0 then
-        Metrics.observe m ~name:"diff_bytes_per_page"
-          ~label:(Printf.sprintf "p%d" c.cid)
-          ~buckets:Metrics.bytes_buckets
-          ((c.counters.dirty_bytes_found - dirty0) / pages));
+  if t.obsv != None then
+    emit t
+      (Trace.Collected
+         {
+           t = at;
+           ns;
+           proc = c.cid;
+           sync;
+           barrier;
+           bytes = app;
+           diff = d.Detector.note;
+           pages = c.counters.pages_diffed - pages0;
+           dirty_bytes = c.counters.dirty_bytes_found - dirty0;
+         });
   col
 
 (* Account one apply of [app] payload bytes at [c], delivered at [at]. *)
-let record_apply t (c : ctx) ~sync ~label ~ranges ~at ~app apply_ns =
+let record_apply t (c : ctx) ~sync ~barrier ~at ~app apply_ns =
   c.counters.collect_time_ns <- c.counters.collect_time_ns + apply_ns;
-  bump_region_ns t ranges apply_ns;
   c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
-  match t.obsv with
-  | None -> ()
-  | Some o ->
-      Obs.span o Obs.Apply ~proc:c.cid ~sync ~bytes:app ~t0:at ~t1:(at + apply_ns) ();
-      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(label c.cid sync) apply_ns
+  if t.obsv != None then
+    emit t (Trace.Applied { t = at; ns = apply_ns; proc = c.cid; sync; barrier; bytes = app })
 
 (* Serve one pending request: runs at the releaser side (conceptually on
    its runtime thread), computes the update payload, applies it at the
@@ -886,7 +818,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   (* Read before the collection bumps the incarnation. *)
   let app_rebound = l.Sync.incarnation > l.Sync.switch_inc in
   let col =
-    record_collect ~app_rebound t rc rd ~sync:l.Sync.lid ~label:lock_label
+    record_collect ~app_rebound t rc rd ~sync:l.Sync.lid ~barrier:false
       ~ranges:l.Sync.ranges ~at:service_time (fun () -> rd.Detector.collect_lock l ~for_:q)
   in
   let payload = col.Detector.payload and collect_ns = col.Detector.ns in
@@ -897,8 +829,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
     let apply_ns =
       (detector qc lb).Detector.apply ~id:l.Sync.lid ~ranges:l.Sync.ranges payload
     in
-    record_apply t qc ~sync:l.Sync.lid ~label:lock_label ~ranges:l.Sync.ranges
-      ~at:deliver ~app apply_ns;
+    record_apply t qc ~sync:l.Sync.lid ~barrier:false ~at:deliver ~app apply_ns;
     rd.Detector.advance l ~releaser ~requester:q col.Detector.cursor;
     (match mode with
     | Sync.Exclusive ->
@@ -906,16 +837,17 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
         l.Sync.held_by <- Some q
     | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
     l.Sync.acquires <- l.Sync.acquires + 1;
-    Trace.record t.trace
-      (Trace.Lock_granted
-         {
-           t = deliver + apply_ns;
-           lock = l.Sync.lid;
-           from_ = releaser;
-           to_ = q;
-           shared = (mode = Sync.Shared);
-           payload_bytes = app;
-         });
+    if t.traced then
+      emit t
+        (Trace.Lock_granted
+           {
+             t = deliver + apply_ns;
+             lock = l.Sync.lid;
+             from_ = releaser;
+             to_ = q;
+             shared = (mode = Sync.Shared);
+             payload_bytes = app;
+           });
     waker ~at:(deliver + apply_ns)
   in
   match
@@ -992,15 +924,16 @@ let acquire_mode c l mode =
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
     l.Sync.acquires <- l.Sync.acquires + 1;
-    Trace.record t.trace (Trace.Lock_local { t = now_ns c; lock = l.Sync.lid; proc = c.cid })
+    if t.traced then emit t (Trace.Lock_local { t = now_ns c; lock = l.Sync.lid; proc = c.cid })
   end
   else begin
     c.counters.lock_acquires_remote <- c.counters.lock_acquires_remote + 1;
     c.counters.messages <- c.counters.messages + 1;
     let req_at = now_ns c in
-    Trace.record t.trace
-      (Trace.Lock_requested
-         { t = req_at; lock = l.Sync.lid; proc = c.cid; shared = (mode = Sync.Shared) });
+    if t.traced then
+      emit t
+        (Trace.Lock_requested
+           { t = req_at; lock = l.Sync.lid; proc = c.cid; shared = (mode = Sync.Shared) });
     (* With crash faults armed the request can exhaust its retries
        against a dead owner: the suspicion surfaces as
        [Reliable.Suspected], this requester initiates a quorum failover
@@ -1037,16 +970,12 @@ let acquire_mode c l mode =
       ~setup:(fun ~wake ->
         Sync.enqueue_request l ~proc:c.cid ~arrival ~mode ~waker:wake;
         service_queue t l);
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        (* The wait spans from the request leaving this processor to the
-           grant (update applied) waking it. *)
-        let t1 = now_ns c in
-        Obs.span o Obs.Acquire_wait ~proc:c.cid ~sync:l.Sync.lid ~t0:req_at ~t1 ();
-        Metrics.observe (Obs.metrics o) ~name:"acquire_latency_ns"
-          ~label:(lock_label c.cid l.Sync.lid)
-          (t1 - req_at));
+    (* The wait spans from the request leaving this processor to the
+       grant (update applied) waking it. *)
+    if t.obsv != None then
+      emit t
+        (Trace.Waited
+           { t = req_at; t1 = now_ns c; proc = c.cid; sync = l.Sync.lid; barrier = false });
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
     crash_check c
@@ -1067,7 +996,7 @@ let release c l =
   Engine.yield c.proc;
   crash_check c;
   Engine.charge c.proc t.cfg.release_ns;
-  Trace.record t.trace (Trace.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid });
+  if t.traced then emit t (Trace.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid });
   let ecsan_release () =
     match c.check with
     | Some ch -> Midway_check.Check.on_release ch ~id:l.Sync.lid ~proc:c.cid
@@ -1111,9 +1040,10 @@ let rebind c l ranges =
   (match c.check with
   | Some ch -> Midway_check.Check.on_rebind ch ~id:l.Sync.lid ~raw:(raw_pairs ranges)
   | None -> ());
-  Trace.record c.machine.trace
-    (Trace.Lock_rebound
-       { t = now_ns c; lock = l.Sync.lid; proc = c.cid; bound_bytes = Sync.lock_bound_bytes l })
+  if c.machine.traced then
+    emit c.machine
+      (Trace.Lock_rebound
+         { t = now_ns c; lock = l.Sync.lid; proc = c.cid; bound_bytes = Sync.lock_bound_bytes l })
 
 (* ------------------------------------------------------------------ *)
 (* Barrier protocol                                                    *)
@@ -1205,14 +1135,14 @@ let barrier_release t (b : Sync.barrier) =
       let apply_ns =
         (barrier_detector pc b).Detector.apply ~id:b.Sync.bid ~ranges:b.Sync.branges payload
       in
-      record_apply t pc ~sync:b.Sync.bid ~label:barrier_label
-        ~ranges:b.Sync.branges ~at:deliver ~app apply_ns;
+      record_apply t pc ~sync:b.Sync.bid ~barrier:true ~at:deliver ~app apply_ns;
       if max_time > 0 then t.env.lamport.(p) <- max t.env.lamport.(p) max_time;
       a.Sync.a_waker ~at:(deliver + apply_ns)
       end)
     arrivals;
-  Trace.record t.trace
-    (Trace.Barrier_completed { t = t_release; barrier = b.Sync.bid; episode = b.Sync.episode });
+  if t.traced then
+    emit t
+      (Trace.Barrier_completed { t = t_release; barrier = b.Sync.bid; episode = b.Sync.episode });
   b.Sync.episode <- b.Sync.episode + 1;
   b.Sync.crossings <- b.Sync.crossings + 1;
   b.Sync.arrived <- [];
@@ -1238,8 +1168,8 @@ let barrier c b =
   else begin
     let d = barrier_detector c b in
     let col =
-      record_collect t c d ~sync:b.Sync.bid ~label:barrier_label
-        ~ranges:b.Sync.branges ~at:(now_ns c) (fun () -> d.Detector.collect_barrier b)
+      record_collect t c d ~sync:b.Sync.bid ~barrier:true ~ranges:b.Sync.branges
+        ~at:(now_ns c) (fun () -> d.Detector.collect_barrier b)
     in
     Engine.charge c.proc col.Detector.ns;
     let payload = col.Detector.payload and stamp = col.Detector.cursor in
@@ -1266,9 +1196,10 @@ let barrier c b =
           send_arrival ()
     in
     let deliver = send_arrival () in
-    Trace.record t.trace
-      (Trace.Barrier_arrived
-         { t = now_ns c; barrier = b.Sync.bid; proc = c.cid; payload_bytes = app });
+    if t.traced then
+      emit t
+        (Trace.Barrier_arrived
+           { t = now_ns c; barrier = b.Sync.bid; proc = c.cid; payload_bytes = app });
     let wait0 = now_ns c in
     Engine.block c.proc
       ~reason:(Printf.sprintf "barrier %d (episode %d)" b.Sync.bid b.Sync.episode)
@@ -1285,14 +1216,10 @@ let barrier c b =
               };
             ];
         if barrier_ready t b then barrier_release t b);
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        let t1 = now_ns c in
-        Obs.span o Obs.Barrier_wait ~proc:c.cid ~sync:b.Sync.bid ~t0:wait0 ~t1 ();
-        Metrics.observe (Obs.metrics o) ~name:"barrier_wait_ns"
-          ~label:(barrier_label c.cid b.Sync.bid)
-          (t1 - wait0));
+    if t.obsv != None then
+      emit t
+        (Trace.Waited
+           { t = wait0; t1 = now_ns c; proc = c.cid; sync = b.Sync.bid; barrier = true });
     crash_check c
   end;
   (* Either path: this processor completed a crossing. *)
@@ -1311,11 +1238,7 @@ let crash_fallout t ~proc:p ~reason:_ ~at =
   | None -> ()
   | Some cr ->
       cr.cr_killed.(p) <- true;
-      Trace.record t.trace (Trace.Proc_crashed { t = at; proc = p });
-      (match t.obsv with
-      | None -> ()
-      | Some o ->
-          Metrics.incr (Obs.metrics o) ~name:"crash_stops" ~label:(Printf.sprintf "p%d" p) 1);
+      if t.traced then emit t (Trace.Proc_crashed { t = at; proc = p });
       List.iter
         (fun (l : Sync.lock) ->
           if List.mem p l.Sync.readers then begin
@@ -1447,14 +1370,8 @@ let run_each t bodies =
       let horizon = Engine.elapsed t.engine in
       List.iter
         (fun (e : Crash.event) ->
-          if e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then begin
-            Trace.record t.trace (Trace.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc });
-            match t.obsv with
-            | None -> ()
-            | Some o ->
-                Metrics.incr (Obs.metrics o) ~name:"crash_recoveries"
-                  ~label:(Printf.sprintf "p%d" e.Crash.proc) 1
-          end)
+          if t.traced && e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then
+            emit t (Trace.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc }))
         (Crash.events cr.cr_plan)
 
 let run t body = run_each t (Array.make t.cfg.nprocs body)
@@ -1584,9 +1501,6 @@ let region_assignments t =
   List.rev !out
 
 let backend_switches t = t.switches
-
-let region_collect_ns t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.region_ns [] |> List.sort compare
 
 let set_region_backend t ~addr b =
   let idx = region_index_of t addr in

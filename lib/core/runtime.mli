@@ -39,14 +39,16 @@ val counters : t -> int -> Midway_stats.Counters.t
 (** Processor [i]'s operation counters. *)
 
 val trace : t -> Trace.t
-(** The protocol event trace (empty unless
-    {!Config.t.trace_capacity} > 0). *)
+(** The ring view of the protocol event stream (empty unless
+    {!Config.t.trace_capacity} > 0; with the ring and obs both off no
+    event is offered, so its {!Trace.total} stays 0). *)
 
 val all_counters : t -> Midway_stats.Counters.t array
 
 val obs : t -> Midway_obs.Obs.t option
 (** The structured observability layer — [Some] iff {!Config.t.obs}.
-    Holds the protocol span log (lock-acquire waits, collections,
+    Derived from the same event stream as {!trace}, it holds the
+    protocol span log (lock-acquire waits, collections,
     diffs, applies, barrier waits, retransmit episodes, generic
     scheduler blocks) on the simulated clock and the metrics registry
     ([acquire_latency_ns], [collect_ns], [apply_ns], [transfer_bytes],
@@ -174,12 +176,6 @@ val region_assignments : t -> (int * Config.backend) list
 
 val backend_switches : t -> int
 (** Total committed region backend switches (manual + adaptive). *)
-
-val region_collect_ns : t -> (int * int) list
-(** Simulated nanoseconds spent in collect/apply per region, in index
-    order — the per-region accounting the adaptive controller's cost
-    estimates are judged against.  Transfers whose binding has no
-    non-empty range are accounted under region [-1]. *)
 
 (** {1 Processor operations} *)
 

@@ -25,12 +25,6 @@ type judged = {
   j_trace : string list;  (* tail of the protocol trace, oldest first *)
 }
 
-let trace_tail ?(n = 12) machine =
-  let events = Midway.Trace.events (R.trace machine) in
-  let len = List.length events in
-  let tail = if len > n then List.filteri (fun i _ -> i >= len - n) events else events in
-  List.map (fun e -> Format.asprintf "%a" Midway.Trace.pp_event e) tail
-
 (* Judge one execution: oracle, then structural invariants, then ECSan.
    All three verdicts are collected so the report shows every angle of
    a failure, not just the first.  The machine (when the workload kept
@@ -61,7 +55,7 @@ let execute_machine (w : Workload.t) cfg =
             add ("ecsan: " ^ String.concat " | " head)
           end
         end;
-        (Some (R.schedule_choices m), trace_tail m)
+        (Some (R.schedule_choices m), Midway.Trace.tail (R.trace m) 12)
   in
   ( {
       j_failed = !reasons <> [];

@@ -1,11 +1,12 @@
-(* The span log: structured begin/end events on the *simulated* clock.
+(* The span log: typed intervals on the *simulated* clock, for machine
+   consumption (Perfetto export, metrics reconciliation).
 
-   This is deliberately distinct from the Trace ring in lib/core: the
-   ring holds pretty-printed protocol lines with a fixed capacity and is
-   meant for eyeballing a tail; spans are typed intervals meant for
-   machine consumption (Perfetto export, metrics reconciliation).
+   It is one view of the runtime's protocol event stream: Trace.emit in
+   lib/core turns each event into its spans here and its metrics in the
+   registry that rides along, next to the ring entry for the point
+   events.  The KV store adds its request spans directly.
 
-   Recording never touches the simulated clock — observers read
+   Recording never touches the simulated clock — the events carry
    timestamps the runtime already computed, so an armed observability
    layer cannot perturb the run it measures. *)
 
@@ -42,53 +43,19 @@ type span = {
 }
 
 type t = {
-  cap : int;  (* 0 = unbounded; otherwise keep the first [cap] spans *)
   mutable log : span list;  (* newest first *)
-  mutable count : int;  (* spans kept *)
-  mutable dropped : int;  (* spans discarded past the cap *)
+  mutable count : int;
   metrics : Metrics.t;
-  mutable open_spans : (int * kind * int * int) list;  (* handle, kind, proc, t0 *)
-  mutable next_handle : int;
 }
 
-let create ?(cap = 0) () =
-  {
-    cap;
-    log = [];
-    count = 0;
-    dropped = 0;
-    metrics = Metrics.create ();
-    open_spans = [];
-    next_handle = 0;
-  }
+let create () = { log = []; count = 0; metrics = Metrics.create () }
 
 let metrics t = t.metrics
 
 let span t kind ~proc ?(sync = -1) ?(bytes = 0) ?(note = "") ~t0 ~t1 () =
   if t1 < t0 then invalid_arg "Obs.span: t1 < t0";
-  if t.cap > 0 && t.count >= t.cap then t.dropped <- t.dropped + 1
-  else begin
-    t.log <- { kind; proc; sync; bytes; t0; t1; note } :: t.log;
-    t.count <- t.count + 1
-  end
-
-(* Handle-based variant for call sites that bracket a computation rather
-   than knowing both endpoints up front. *)
-type handle = int
-
-let begin_span t kind ~proc ~t0 =
-  let h = t.next_handle in
-  t.next_handle <- h + 1;
-  t.open_spans <- (h, kind, proc, t0) :: t.open_spans;
-  h
-
-let end_span t h ?(sync = -1) ?(bytes = 0) ?(note = "") ~t1 () =
-  match List.partition (fun (h', _, _, _) -> h' = h) t.open_spans with
-  | [ (_, kind, proc, t0) ], rest ->
-      t.open_spans <- rest;
-      span t kind ~proc ~sync ~bytes ~note ~t0 ~t1 ()
-  | _ -> invalid_arg "Obs.end_span: unknown or already-closed handle"
+  t.log <- { kind; proc; sync; bytes; t0; t1; note } :: t.log;
+  t.count <- t.count + 1
 
 let spans t = List.rev t.log
 let span_count t = t.count
-let dropped t = t.dropped

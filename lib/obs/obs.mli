@@ -1,10 +1,13 @@
-(** The span log: typed begin/end events on the simulated clock.
+(** The span log: typed intervals on the simulated clock.
 
-    Distinct from the pretty-print {!Midway.Trace} ring: spans are
-    machine-consumable intervals (for Perfetto export and metric
-    reconciliation) in an unbounded-or-capped log.  Recording never
-    advances simulated time — observers only read timestamps the
-    runtime already computed. *)
+    One view of the runtime's protocol event stream: [Midway.Trace.emit]
+    turns each event into its spans here and its metrics in the
+    registry that rides along, next to the ring entry the same stream
+    keeps for point events.  The KV store adds its request spans
+    directly.  Spans are machine-consumable (for
+    Perfetto export and metric reconciliation), and the log keeps all of
+    them.  Recording never advances simulated time — the events carry
+    timestamps the runtime already computed. *)
 
 type kind =
   | Acquire_wait  (** lock requested until ownership granted *)
@@ -39,9 +42,7 @@ type span = {
 
 type t
 
-val create : ?cap:int -> unit -> t
-(** [cap = 0] (default) keeps every span; [cap > 0] keeps the first
-    [cap] and counts the rest as {!dropped}. *)
+val create : unit -> t
 
 val metrics : t -> Metrics.t
 (** The metrics registry riding along with the span log. *)
@@ -59,15 +60,7 @@ val span :
   unit
 (** Record a closed span.  Raises [Invalid_argument] if [t1 < t0]. *)
 
-type handle
-
-val begin_span : t -> kind -> proc:int -> t0:int -> handle
-val end_span : t -> handle -> ?sync:int -> ?bytes:int -> ?note:string -> t1:int -> unit -> unit
-(** Close an open handle (raises [Invalid_argument] on an unknown or
-    already-closed one). *)
-
 val spans : t -> span list
 (** In recording order. *)
 
 val span_count : t -> int
-val dropped : t -> int

@@ -636,11 +636,18 @@ let test_trace_ring () =
   let tr = Midway.Trace.create ~capacity:3 in
   Alcotest.(check int) "empty" 0 (Midway.Trace.length tr);
   for i = 1 to 5 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+    Midway.Trace.emit tr None (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
   done;
   Alcotest.(check int) "capped" 3 (Midway.Trace.length tr);
   Alcotest.(check int) "counts drops" 5 (Midway.Trace.total tr);
   Alcotest.(check (list int)) "oldest first, oldest dropped" [ 3; 4; 5 ]
+    (List.map Midway.Trace.event_time (Midway.Trace.events tr));
+  (* interval facts are for the span log only: the ring neither keeps
+     nor counts them *)
+  Midway.Trace.emit tr None
+    (Midway.Trace.Applied { t = 9; ns = 1; proc = 0; sync = 0; barrier = false; bytes = 8 });
+  Alcotest.(check int) "interval fact not counted" 5 (Midway.Trace.total tr);
+  Alcotest.(check (list int)) "interval fact not kept" [ 3; 4; 5 ]
     (List.map Midway.Trace.event_time (Midway.Trace.events tr))
 
 let test_trace_wraparound_boundaries () =
@@ -650,7 +657,7 @@ let test_trace_wraparound_boundaries () =
   let cap = 3 in
   let tr = Midway.Trace.create ~capacity:cap in
   for i = 0 to 9 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 });
+    Midway.Trace.emit tr None (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 });
     let expect_len = min (i + 1) cap in
     Alcotest.(check int) (Printf.sprintf "length after %d records" (i + 1)) expect_len
       (Midway.Trace.length tr);
@@ -666,7 +673,7 @@ let test_trace_wraparound_boundaries () =
 let test_trace_capacity_one () =
   let tr = Midway.Trace.create ~capacity:1 in
   for i = 1 to 4 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+    Midway.Trace.emit tr None (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
   done;
   Alcotest.(check int) "length stays 1" 1 (Midway.Trace.length tr);
   Alcotest.(check int) "total counts every record" 4 (Midway.Trace.total tr);
@@ -676,7 +683,7 @@ let test_trace_capacity_one () =
 let test_trace_disabled () =
   let tr = Midway.Trace.create ~capacity:0 in
   for i = 1 to 3 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+    Midway.Trace.emit tr None (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
   done;
   Alcotest.(check int) "nothing retained" 0 (Midway.Trace.length tr);
   (* total counts every event offered, even those a disabled ring drops:
@@ -687,10 +694,10 @@ let test_trace_disabled () =
 
 let test_trace_render () =
   let tr = Midway.Trace.create ~capacity:8 in
-  Midway.Trace.record tr
+  Midway.Trace.emit tr None
     (Midway.Trace.Lock_granted
        { t = 1_000; lock = 2; from_ = 0; to_ = 1; shared = false; payload_bytes = 64 });
-  Midway.Trace.record tr
+  Midway.Trace.emit tr None
     (Midway.Trace.Barrier_completed { t = 2_000; barrier = 5; episode = 3 });
   let s = Midway.Trace.dump tr in
   let contains needle =

@@ -10,8 +10,7 @@
    - the VM zero-copy collect path failing loudly on a page that spans
      two regions (the migrated-bucket shape);
    - mixed-backend machines (striped rt/vm regions) converging to the
-     same memory image as pure-backend runs, with per-region collect
-     accounting summing exactly to the processor counters;
+     same memory image as pure-backend runs;
    - the adaptive controller's window/hysteresis/cooldown/min-gain
      arithmetic, and manual region re-election safety. *)
 
@@ -323,9 +322,7 @@ let test_vm_collect_crosses_region_is_loud () =
 (* Four lock areas, each filling its own 4 KB region; every processor
    does commutative lock-guarded adds, so the converged image is
    schedule- and backend-independent.  A striped machine (odd regions
-   re-elected to vm before the run) must produce the identical image, and per-region
-   collect accounting must sum exactly to the processors' collect_time
-   counters. *)
+   re-elected to vm before the run) must produce the identical image. *)
 
 let run_mixed_program ?(stripe = false) ~nprocs ~seed cfg =
   let areas = 4 and cells = 16 in
@@ -371,13 +368,6 @@ let run_mixed_program ?(stripe = false) ~nprocs ~seed cfg =
   in
   (machine, image)
 
-let region_accounting_consistent machine =
-  let per_region = List.fold_left (fun acc (_, ns) -> acc + ns) 0 (R.region_collect_ns machine) in
-  let per_proc =
-    Array.fold_left (fun acc c -> acc + c.Counters.collect_time_ns) 0 (R.all_counters machine)
-  in
-  per_region = per_proc
-
 let mixed_digest_prop =
   QCheck.Test.make ~name:"striped rt/vm machine matches pure-backend memory" ~count:12
     QCheck.(pair (int_range 2 4) (int_range 0 999))
@@ -388,7 +378,6 @@ let mixed_digest_prop =
       let m_mix, img_mix = run_mixed_program ~stripe:true ~nprocs ~seed (cfg Config.Rt) in
       List.for_all (fun m -> R.check_invariants m = []) [ m_rt; m_vm; m_mix ]
       && R.region_assignments m_mix <> []  (* odd regions really run vm *)
-      && List.for_all region_accounting_consistent [ m_rt; m_vm; m_mix ]
       && img_rt = img_vm && img_rt = img_mix)
 
 (* --- the policy controller ---------------------------------------------- *)
@@ -606,9 +595,7 @@ let test_adaptive_beats_both_pures_on_hybrid () =
   Alcotest.(check bool) "the controller re-elected at least one region" true
     (R.backend_switches adaptive.Outcome.machine >= 1);
   Alcotest.(check bool) "adaptive beats pure rt" true (ns adaptive < ns pure_rt);
-  Alcotest.(check bool) "adaptive beats pure vm" true (ns adaptive < ns pure_vm);
-  Alcotest.(check bool) "per-region accounting sums to the counters" true
-    (region_accounting_consistent adaptive.Outcome.machine)
+  Alcotest.(check bool) "adaptive beats pure vm" true (ns adaptive < ns pure_vm)
 
 let test_adaptive_preserves_ecgen_digests () =
   (* whatever the controller elects, converged memory is the pure run's *)

@@ -21,7 +21,7 @@ let test_span_log_order () =
   Obs.span o Obs.Acquire_wait ~proc:1 ~t0:50 ~t1:400 ();
   Obs.span o Obs.Diff ~proc:0 ~sync:3 ~note:"page diff" ~t0:100 ~t1:250 ();
   Alcotest.(check int) "count" 3 (Obs.span_count o);
-  Alcotest.(check int) "nothing dropped" 0 (Obs.dropped o);
+  Alcotest.(check int) "every span kept" 3 (Obs.span_count o);
   let kinds = List.map (fun (s : Obs.span) -> Obs.kind_name s.Obs.kind) (Obs.spans o) in
   Alcotest.(check (list string)) "recording order" [ "collect"; "lock_wait"; "diff" ] kinds;
   (match Obs.spans o with
@@ -32,35 +32,6 @@ let test_span_log_order () =
   Alcotest.check_raises "t1 < t0 rejected"
     (Invalid_argument "Obs.span: t1 < t0") (fun () ->
       Obs.span o Obs.Collect ~proc:0 ~t0:10 ~t1:5 ())
-
-let test_span_cap () =
-  let o = Obs.create ~cap:2 () in
-  for i = 1 to 5 do
-    Obs.span o Obs.Apply ~proc:0 ~t0:i ~t1:(i + 1) ()
-  done;
-  Alcotest.(check int) "first cap kept" 2 (Obs.span_count o);
-  Alcotest.(check int) "rest counted as dropped" 3 (Obs.dropped o);
-  Alcotest.(check (list int)) "the first two survive" [ 1; 2 ]
-    (List.map (fun (s : Obs.span) -> s.Obs.t0) (Obs.spans o))
-
-let test_span_handles () =
-  let o = Obs.create () in
-  (* open two, close out of order: each handle must close its own span *)
-  let outer = Obs.begin_span o Obs.Collect ~proc:2 ~t0:1_000 in
-  let inner = Obs.begin_span o Obs.Diff ~proc:2 ~t0:1_100 in
-  Obs.end_span o inner ~sync:7 ~t1:1_400 ();
-  Obs.end_span o outer ~sync:7 ~bytes:64 ~t1:1_900 ();
-  (match Obs.spans o with
-  | [ a; b ] ->
-      Alcotest.(check string) "inner closed first" "diff" (Obs.kind_name a.Obs.kind);
-      Alcotest.(check int) "inner interval" 1_400 a.Obs.t1;
-      Alcotest.(check string) "outer closed second" "collect" (Obs.kind_name b.Obs.kind);
-      Alcotest.(check bool) "outer encloses inner" true
-        (b.Obs.t0 <= a.Obs.t0 && a.Obs.t1 <= b.Obs.t1)
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length l)));
-  Alcotest.check_raises "double close rejected"
-    (Invalid_argument "Obs.end_span: unknown or already-closed handle") (fun () ->
-      Obs.end_span o inner ~t1:2_000 ())
 
 (* --- metrics: buckets --------------------------------------------------- *)
 
@@ -246,6 +217,58 @@ let test_machine_reconciliation () =
     (fst (Metrics.hist_totals s ~name:"collect_ns")
     + fst (Metrics.hist_totals s ~name:"apply_ns"))
 
+(* The accounting facts of the recovery and adaptive layers, on one
+   machine that arms them all: faults (retransmissions), a scripted crash
+   with recovery (a quorum failover and crash-stops; the 100 ms watchdog
+   ends the survivors' poll of the dead worker's tasks) and adaptive
+   detection (a backend switch).  Each metric is the same event stream
+   the ring keeps, so it must agree with the runtime's own account. *)
+let test_recovery_reconciliation () =
+  let nprocs = 4 in
+  let plan =
+    match Midway_simnet.Crash.parse_spec ~nprocs "stop@5ms:p1,recover@20ms:p1" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let cfg =
+    { (Config.make Config.Vm ~nprocs) with Config.adaptive = true; obs = true;
+      trace_capacity = 1_000_000 }
+    |> Config.with_faults ~drop:0.05 ~seed:7
+    |> Config.with_crash ~watchdog_ns:100_000_000 plan
+  in
+  let machine =
+    (Midway_report.Suite.run_app Midway_report.Suite.Cholesky cfg ~scale:0.05)
+      .Midway_apps.Outcome.machine
+  in
+  let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
+  let s = Metrics.snapshot (Obs.metrics o) in
+  let counter name =
+    List.fold_left (fun acc ((n, _), v) -> if n = name then acc + v else acc) 0
+      s.Metrics.s_counters
+  in
+  let retransmits =
+    Array.fold_left (fun acc c -> acc + c.Counters.retransmits) 0 (R.all_counters machine)
+  in
+  let check_pos name expect got =
+    Alcotest.(check bool) (name ^ " happened") true (expect > 0);
+    Alcotest.(check int) name expect got
+  in
+  check_pos "retransmits_per_send sums to the retransmit counters" retransmits
+    (fst (Metrics.hist_totals s ~name:"retransmits_per_send"));
+  check_pos "failovers = failover_count" (R.failover_count machine) (counter "failovers");
+  check_pos "crash_stops = killed processors" (List.length (R.killed_procs machine))
+    (counter "crash_stops");
+  check_pos "backend_switches = backend_switches" (R.backend_switches machine)
+    (counter "backend_switches");
+  let ring_failovers =
+    List.length
+      (List.filter
+         (function Midway.Trace.Lock_failover _ -> true | _ -> false)
+         (Midway.Trace.events (R.trace machine)))
+  in
+  Alcotest.(check int) "one Lock_failover ring event per failover" (counter "failovers")
+    ring_failovers
+
 let test_obs_never_perturbs () =
   let nprocs = 4 in
   let run obs =
@@ -270,8 +293,6 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "recording order" `Quick test_span_log_order;
-          Alcotest.test_case "cap counts drops" `Quick test_span_cap;
-          Alcotest.test_case "handles nest and close" `Quick test_span_handles;
         ] );
       ( "metrics",
         [
@@ -287,6 +308,8 @@ let () =
         [
           Alcotest.test_case "metrics reconcile with counters" `Quick
             test_machine_reconciliation;
+          Alcotest.test_case "recovery and adaptive metrics reconcile" `Quick
+            test_recovery_reconciliation;
           Alcotest.test_case "arming obs never perturbs a run" `Quick test_obs_never_perturbs;
         ] );
     ]

@@ -809,6 +809,27 @@ let test_tracing_disabled_by_default () =
       R.release c lock);
   Alcotest.(check int) "no events kept" 0 (Midway.Trace.length (R.trace machine))
 
+(* With the ring and obs both off, no site builds its event: nothing is
+   even offered to the ring, on any path a run takes (remote and local
+   acquires, transfers, rebinding, barrier episodes). *)
+let test_default_run_offers_no_events () =
+  let machine = R.create (Config.make Config.Rt ~nprocs:2) in
+  let a = R.alloc machine ~line_size:8 16 in
+  let lock = R.new_lock machine [ Range.v a 8 ] in
+  let bar = R.new_barrier machine [ Range.v (a + 8) 8 ] in
+  R.run machine (fun c ->
+      R.acquire c lock;
+      R.write_int c a (R.read_int c a + 1);
+      R.rebind c lock [ Range.v a 8 ];
+      R.release c lock;
+      R.acquire c lock;
+      R.release c lock;
+      if R.id c = 0 then R.write_int c (a + 8) 7;
+      R.barrier c bar);
+  Alcotest.(check int) "no event offered" 0 (Midway.Trace.total (R.trace machine));
+  Alcotest.(check bool) "the run did transfer data" true
+    ((R.counters machine 1).Midway_stats.Counters.lock_acquires_remote > 0)
+
 (* --- barrier-phase random coherence ------------------------------------------ *)
 
 let barrier_coherence_random backend =
@@ -1068,6 +1089,8 @@ let () =
         [
           Alcotest.test_case "records protocol events" `Quick test_runtime_tracing;
           Alcotest.test_case "disabled by default" `Quick test_tracing_disabled_by_default;
+          Alcotest.test_case "default run offers no events" `Quick
+            test_default_run_offers_no_events;
         ] );
       ( "vm-fine",
         [
