@@ -51,6 +51,7 @@ type t = {
   forget : Region.t -> unit;
   stray_dirty_lines : Sync.lock -> int list;
   untwinned_pages : unit -> int list;
+  table_lines : Region.t -> int;
 }
 
 let electable = function
@@ -89,6 +90,8 @@ let rt_unseen (l : Sync.lock) ~for_ = l.Sync.rt_last_seen.(for_) = Timestamp.nev
 let no_lines (_ : Sync.lock) = []
 
 let no_pages () = []
+
+let no_table (_ : Region.t) = 0
 
 (* ------------------------------------------------------------------ *)
 (* RT: dirtybit timestamps                                             *)
@@ -336,6 +339,7 @@ let rt p db =
     forget = Dirtybits.reset_region db;
     stray_dirty_lines = rt_stray_lines p db;
     untwinned_pages = no_pages;
+    table_lines = Dirtybits.table_lines db;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -460,6 +464,7 @@ let log_detector p ~note ~trap ~diff ~rebase ~apply_pieces ~forget ~untwinned_pa
     forget;
     stray_dirty_lines = no_lines;
     untwinned_pages;
+    table_lines = no_table;
   }
 
 let vm p vm =
@@ -609,6 +614,7 @@ let vm_fine p vm db =
         Vm_state.forget vm ~ranges:[ Range.v (Region.base region) region.region_size ]);
     stray_dirty_lines = no_lines;
     untwinned_pages = no_pages;
+    table_lines = Dirtybits.table_lines db;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -646,6 +652,7 @@ let blast p =
     forget = ignore;
     stray_dirty_lines = no_lines;
     untwinned_pages = no_pages;
+    table_lines = no_table;
   }
 
 let create p backend =

@@ -78,6 +78,9 @@ type t = {
           processor wrote without collecting them (rt only) *)
   untwinned_pages : unit -> int list;
       (** invariant check: dirty pages without a twin (vm only) *)
+  table_lines : Midway_memory.Region.t -> int;
+      (** footprint check: lines this processor's dirtybit table covers
+          in the region (rt and vm-fine; 0 elsewhere) *)
 }
 
 val electable : Config.backend -> bool

@@ -1,9 +1,14 @@
 module Region = Midway_memory.Region
 
+(* Sized like a processor's copy of the region ([Region.capacity_for]):
+   [ts] covers the allocated extent and grows, with [l1] and
+   [group_max], when a line past its end is touched.  A line past the
+   end reads as [Timestamp.initial], so growth fills with exactly
+   that. *)
 type region_table = {
-  ts : int array;  (* per line: Timestamp.t *)
-  l1 : Bytes.t;  (* two-level: dirty flag per group *)
-  group_max : int array;  (* two-level: max stamp installed in the group *)
+  mutable ts : int array;  (* per line: Timestamp.t *)
+  mutable l1 : Bytes.t;  (* two-level: dirty flag per group *)
+  mutable group_max : int array;  (* two-level: max stamp installed in the group *)
 }
 
 type t = {
@@ -30,19 +35,32 @@ let create ~mode ~group =
 
 let mode t = t.mode
 
-let table_for t (r : Region.t) =
+let grow_array a n fill =
+  let fresh = Array.make n fill in
+  Array.blit a 0 fresh 0 (Array.length a);
+  fresh
+
+(* Materialise or grow the region's table to cover lines [0, upto) and
+   the allocated extent. *)
+let table_slow t (r : Region.t) ~upto =
   let idx = r.index in
   if idx >= Array.length t.tables then begin
     let fresh = Array.make (max (idx + 1) (2 * Array.length t.tables)) None in
     Array.blit t.tables 0 fresh 0 (Array.length t.tables);
     t.tables <- fresh
   end;
+  let lines = Region.capacity_for r (upto * r.line_size) / r.line_size in
+  let groups = if t.mode = Config.Two_level then (lines + t.group - 1) / t.group else 0 in
   match t.tables.(idx) with
-  | Some tbl -> tbl
+  | Some tbl when Array.length tbl.ts >= upto -> tbl
+  | Some tbl ->
+      tbl.ts <- grow_array tbl.ts lines Timestamp.initial;
+      let l1 = Bytes.make groups '\000' in
+      Bytes.blit tbl.l1 0 l1 0 (Bytes.length tbl.l1);
+      tbl.l1 <- l1;
+      tbl.group_max <- grow_array tbl.group_max groups Timestamp.initial;
+      tbl
   | None ->
-      let lines = Region.lines r in
-      let two_level = t.mode = Config.Two_level in
-      let groups = if two_level then (lines + t.group - 1) / t.group else 0 in
       let tbl =
         {
           ts = Array.make lines Timestamp.initial;
@@ -52,6 +70,19 @@ let table_for t (r : Region.t) =
       in
       t.tables.(idx) <- Some tbl;
       tbl
+
+(* The region's table, covering at least lines [0, upto). *)
+let[@inline] table_for t (r : Region.t) ~upto =
+  let idx = r.index in
+  if idx < Array.length t.tables then
+    match Array.unsafe_get t.tables idx with
+    | Some tbl when Array.length tbl.ts >= upto -> tbl
+    | _ -> table_slow t r ~upto
+  else table_slow t r ~upto
+
+let table_lines t (r : Region.t) =
+  if r.index >= Array.length t.tables then 0
+  else match t.tables.(r.index) with Some tbl -> Array.length tbl.ts | None -> 0
 
 let line_index (r : Region.t) addr = (addr - Region.base r) / r.line_size
 
@@ -72,17 +103,17 @@ let note_write t ~region ~addr ~len =
           t.queue <- entry :: q;
           t.queue_len <- t.queue_len + 1)
   | Config.Plain | Config.Two_level ->
-      let tbl = table_for t region in
       let first = line_index region addr in
       let last = line_index region (addr + max len 1 - 1) in
+      let tbl = table_for t region ~upto:(last + 1) in
       for line = first to last do
         tbl.ts.(line) <- Timestamp.locally_dirty;
         if t.mode = Config.Two_level then Bytes.set tbl.l1 (line / t.group) '\001'
       done
 
 let line_ts t ~region ~addr =
-  let tbl = table_for t region in
-  tbl.ts.(line_index region addr)
+  let line = line_index region addr in
+  (table_for t region ~upto:(line + 1)).ts.(line)
 
 let bump_group_max t tbl line ts =
   if t.mode = Config.Two_level then begin
@@ -91,8 +122,8 @@ let bump_group_max t tbl line ts =
   end
 
 let set_ts t ~region ~addr ~ts =
-  let tbl = table_for t region in
   let line = line_index region addr in
+  let tbl = table_for t region ~upto:(line + 1) in
   tbl.ts.(line) <- ts;
   bump_group_max t tbl line ts
 
@@ -100,8 +131,8 @@ let set_ts t ~region ~addr ~ts =
    [addr] — the apply side of a coalesced run (one table lookup for the
    whole run). *)
 let set_ts_run t ~region ~addr ~lines ~ts =
-  let tbl = table_for t region in
   let first = line_index region addr in
+  let tbl = table_for t region ~upto:(first + lines) in
   for line = first to first + lines - 1 do
     tbl.ts.(line) <- ts;
     bump_group_max t tbl line ts
@@ -139,9 +170,9 @@ let group_skippable tbl ~select g =
   | Transfer last_seen -> tbl.group_max.(g) <= last_seen
 
 let scan_range t counts ~region ~range ~stamp ~select ~emit =
-  let tbl = table_for t region in
   let first = line_index region range.Range.addr in
   let last = line_index region (Range.limit range - 1) in
+  let tbl = table_for t region ~upto:(last + 1) in
   match t.mode with
   | Config.Plain | Config.Update_queue ->
       for line = first to last do
@@ -152,7 +183,9 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
       while !line <= last do
         let g = !line / t.group in
         let g_first = g * t.group in
-        let g_last = min (g_first + t.group - 1) (Array.length tbl.ts - 1) in
+        (* clipped at the region's last line, not the table's: a group
+           the table only partly covers is still a whole group *)
+        let g_last = min (g_first + t.group - 1) (Region.lines region - 1) in
         if !line = g_first && g_last <= last then begin
           (* Group fully covered by the scan: the first level applies. *)
           counts.group_checks <- counts.group_checks + 1;
@@ -195,9 +228,9 @@ let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
     (fun (piece : Range.t) ->
       counts.queue_entries <- counts.queue_entries + 1;
       let region = region_of piece.Range.addr in
-      let tbl = table_for t region in
       let first = line_index region piece.Range.addr in
       let last = line_index region (Range.limit piece - 1) in
+      let tbl = table_for t region ~upto:(last + 1) in
       for line = first to last do
         if tbl.ts.(line) <> stamp then begin
           (* A queued entry means this processor wrote the line; stamp it

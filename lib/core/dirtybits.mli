@@ -20,6 +20,12 @@
       trapping cost.  (The timestamp table is still maintained as the
       update history.)
 
+    A region's table is sized to its allocated extent, not to the whole
+    region: it covers a power-of-two number of lines (at least 4 KiB of
+    the region) and grows to the highest line touched; lines past its
+    end hold {!Timestamp.initial}, so the size is invisible to every
+    operation below.
+
     This module only mutates data structures and reports what it did; cost
     charging and counter accounting belong to the runtime. *)
 
@@ -87,6 +93,9 @@ val scan :
 
 val queue_length : t -> int
 (** [Update_queue] mode: entries currently queued (0 in other modes). *)
+
+val table_lines : t -> Midway_memory.Region.t -> int
+(** Lines the region's table currently covers (0 before first use). *)
 
 val reset_region : t -> Midway_memory.Region.t -> unit
 (** Forget all detection state for one region: timestamps back to

@@ -963,10 +963,11 @@ let acquire_mode c l mode =
           request_owner ()
     in
     let arrival = request_owner () in
+    let lid = l.Sync.lid in
     Engine.block c.proc
-      ~reason:
-        (Printf.sprintf "acquire of lock %d (%s mode)" l.Sync.lid
-           (match mode with Sync.Exclusive -> "exclusive" | Sync.Shared -> "shared"))
+      ~reason:(fun () ->
+        Printf.sprintf "acquire of lock %d (%s mode)" lid
+          (match mode with Sync.Exclusive -> "exclusive" | Sync.Shared -> "shared"))
       ~setup:(fun ~wake ->
         Sync.enqueue_request l ~proc:c.cid ~arrival ~mode ~waker:wake;
         service_queue t l);
@@ -1026,6 +1027,16 @@ let release c l =
           service_queue t l
         end
       end
+      else if l.Sync.failovers > 0 && fiber_dead_at t c.cid ~at:max_int then
+        (* Fenced: this processor is scheduled to crash-stop, and a peer
+           whose clock is already past the stop has failed the lock over
+           (reverting the section to its last replica) before this
+           lagging fiber reached the release.  The quorum has declared it
+           dead, so it dies here instead of committing a voided section. *)
+        raise
+          (Engine.Killed
+             (Printf.sprintf "crash-stop of p%d: lock %d failed over while held" c.cid
+                l.Sync.lid))
       else
         failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid)
 
@@ -1201,8 +1212,9 @@ let barrier c b =
         (Trace.Barrier_arrived
            { t = now_ns c; barrier = b.Sync.bid; proc = c.cid; payload_bytes = app });
     let wait0 = now_ns c in
+    let bid = b.Sync.bid and episode = b.Sync.episode in
     Engine.block c.proc
-      ~reason:(Printf.sprintf "barrier %d (episode %d)" b.Sync.bid b.Sync.episode)
+      ~reason:(fun () -> Printf.sprintf "barrier %d (episode %d)" bid episode)
       ~setup:(fun ~wake ->
         b.Sync.arrived <-
           b.Sync.arrived
@@ -1492,6 +1504,11 @@ let availability t =
   float_of_int (n - List.length (killed_procs t)) /. float_of_int n
 
 (* --- hybrid write detection introspection and control --------------- *)
+
+let dirtybit_table_lines t ~proc region =
+  List.fold_left
+    (fun acc (_, d) -> max acc (d.Detector.table_lines region))
+    0 t.ctxs.(proc).detectors
 
 let region_backend_at t ~addr = backend_of_region t (region_index_of t addr)
 

@@ -116,6 +116,12 @@ val check_report : t -> Midway_check.Check.report
     the full report.  Render with {!Midway_check.Report.render}; gate
     exit codes on {!Midway_check.Report.has_violations}. *)
 
+val dirtybit_table_lines : t -> proc:int -> Midway_memory.Region.t -> int
+(** Lines the processor's dirtybit tables cover in the region (0 when it
+    has none).  Tables, like each processor's copy of a region
+    ({!Midway_memory.Region.capacity}), are sized to the allocated
+    extent; tests bound both. *)
+
 val elapsed_ns : t -> int
 (** After [run]: simulated execution time (max over processors). *)
 

@@ -12,7 +12,14 @@
     Each simulated processor has its own physical copy of every region it
     touches — that is what makes the simulation a real DSM: data written
     on one processor becomes visible on another only when the consistency
-    protocol ships it. *)
+    protocol ships it.  As in Midway, where untouched virtual memory costs
+    nothing, a copy is sized to the region's allocated extent ({!t.used}),
+    not to the whole reservation: it starts at the next power of two
+    covering the extent (at least 4 KiB, at most [region_size]) and
+    grows to the next power of two that fits when a later allocation or
+    access needs more room.  Every
+    address of the region reads as zero until written, whatever the
+    copy's current size. *)
 
 type kind =
   | Shared  (** one logical copy, replicated per processor, kept consistent by the DSM *)
@@ -25,7 +32,9 @@ type t = {
   region_size : int;  (** bytes covered by the region *)
   nprocs : int;
   mutable used : int;  (** bump-allocation high-water mark *)
-  backing : Bytes.t option array;  (** per-processor physical copy, allocated on first touch *)
+  backing : Bytes.t array;
+      (** per-processor physical copy: empty until first touch, then
+          extent-sized (see above).  Read it through {!backing_for}. *)
 }
 
 val create : index:int -> kind:kind -> line_size:int -> region_size:int -> nprocs:int -> t
@@ -44,9 +53,23 @@ val lines : t -> int
 val line_of_offset : t -> int -> int
 (** Cache-line index containing the given byte offset. *)
 
-val backing_for : t -> proc:int -> Bytes.t
-(** The processor's physical copy, allocating it (zero-filled) on first
-    use. *)
+val capacity_for : t -> int -> int
+(** [capacity_for t n]: the bytes a per-processor structure (a copy, a
+    dirtybit table) covers when it must reach the region's first [n]
+    bytes — the next power of two at least [n] and {!t.used}, at least
+    4 KiB and one line, at most [region_size]. *)
+
+val backing_for : t -> proc:int -> upto:int -> Bytes.t
+(** The processor's physical copy, covering at least the allocated
+    extent [used] and the region's first [upto] bytes ([upto <=
+    region_size]): materialised zero-filled on first use, grown
+    ({!capacity_for}, contents kept) when it falls short.  Growth
+    replaces the buffer, so a caller that caches it must refresh its
+    copy when it grows — within the library only {!Space} calls this,
+    and it does. *)
+
+val capacity : t -> proc:int -> int
+(** Bytes the processor's copy currently covers (0 until first touch). *)
 
 val touched : t -> proc:int -> bool
 (** Whether the processor's copy has been materialized. *)

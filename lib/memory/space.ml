@@ -2,11 +2,22 @@ type addr = int
 
 (* Last-hit accessor cache, one per processor: the apps' inner loops walk
    arrays word by word, so nearly every access lands in the region (and
-   backing buffer) of the previous one.  Caching the pair skips the
+   backing buffer) of the previous one.  Caching the buffer skips the
    region lookup and the per-proc backing resolution on repeat hits.
-   Safe because regions are never unmapped and a region's backing buffer
-   for a processor is created once and never replaced. *)
-type cache_entry = { mutable c_idx : int; mutable c_backing : Bytes.t }
+   A processor's buffer is extent-sized and is replaced when it grows, so
+   the entry also bounds the offsets it may serve: a hit is
+   [a - base < capacity - 7] as an unsigned comparison (both sides are
+   stored biased by [min_int], so it is one signed compare), which keeps
+   every 1-, 4- and 8-byte access of a hit inside the buffer.  Anything
+   else — another region, an offset past the buffer, the buffer's last 7
+   bytes — takes the miss path, which grows the buffer as needed.  Safe
+   because regions are never unmapped and every growth goes through
+   [fill], which refreshes the processor's entry. *)
+type cache_entry = {
+  mutable c_base : int;  (* cached region's base + min_int *)
+  mutable c_lim : int;  (* max 0 (capacity - 7) + min_int; min_int never hits *)
+  mutable c_backing : Bytes.t;
+}
 
 type t = {
   nprocs : int;
@@ -38,9 +49,8 @@ let create ?(region_size = 16 * 1024 * 1024) ~nprocs () =
     region_list = [];
     next_index = 1;  (* region 0 stays unmapped so address 0 is null *)
     cursors = Hashtbl.create 8;
-    (* min_int sentinel: a negative address truncates toward zero, so -1
-       or 0 as the empty marker could falsely hit *)
-    cache = Array.init nprocs (fun _ -> { c_idx = min_int; c_backing = Bytes.empty });
+    cache =
+      Array.init nprocs (fun _ -> { c_base = 0; c_lim = min_int; c_backing = Bytes.empty });
   }
 
 let nprocs t = t.nprocs
@@ -121,22 +131,29 @@ let validate_range t a len =
      else raise (Unmapped last));
   r
 
-(* Resolve the region, fill the cache and return the backing.  Only ever
-   called with a mapped address (region_of_addr raises otherwise), so the
-   cache never holds an unmapped index. *)
-let cache_miss t e ~proc a =
-  let r = region_of_addr t a in
-  let b = Region.backing_for r ~proc in
-  e.c_idx <- a / t.region_size;
+(* The processor's buffer for [r], grown to cover the region's first
+   [upto] bytes; every growth passes here and refreshes the processor's
+   cache entry (any valid entry will do, so it is simply overwritten). *)
+let fill t r ~proc ~upto =
+  let b = Region.backing_for r ~proc ~upto in
+  let e = Array.unsafe_get t.cache proc in
+  e.c_base <- Region.base r + min_int;
+  e.c_lim <- max 0 (Bytes.length b - 7) + min_int;
   e.c_backing <- b;
   b
+
+(* Resolve the region and return a buffer covering an 8-byte access at
+   [a].  Only ever reaches [fill] with a mapped address (region_of_addr
+   raises otherwise), so the cache never holds an unmapped region. *)
+let cache_miss t ~proc a =
+  let r = region_of_addr t a in
+  fill t r ~proc ~upto:(min t.region_size ((a land t.mask) + 8))
 
 (* The accessor hot path: no tuple allocation; the in-region offset is
    [a land t.mask] because region bases are region_size-aligned. *)
 let[@inline] backing t ~proc a =
-  let idx = a / t.region_size in
   let e = Array.unsafe_get t.cache proc in
-  if e.c_idx = idx then e.c_backing else cache_miss t e ~proc a
+  if a - e.c_base < e.c_lim then e.c_backing else cache_miss t ~proc a
 
 let get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a) (a land t.mask))
 
@@ -158,30 +175,31 @@ let get_int t ~proc a = Int64.to_int (get_i64 t ~proc a)
 
 let set_int t ~proc a v = set_i64 t ~proc a (Int64.of_int v)
 
+(* Range accessors resolve the buffer through [fill] so that it covers
+   the whole range, not just its first word. *)
+let range_buffer t ~proc a ~len =
+  let r = validate_range t a len in
+  let off = a - Region.base r in
+  (fill t r ~proc ~upto:(off + len), off)
+
 let read_bytes t ~proc a ~len =
-  ignore (validate_range t a len);
-  Bytes.sub (backing t ~proc a) (a land t.mask) len
+  let b, off = range_buffer t ~proc a ~len in
+  Bytes.sub b off len
 
 let write_bytes t ~proc a buf =
-  ignore (validate_range t a (Bytes.length buf));
-  Bytes.blit buf 0 (backing t ~proc a) (a land t.mask) (Bytes.length buf)
+  let b, off = range_buffer t ~proc a ~len:(Bytes.length buf) in
+  Bytes.blit buf 0 b off (Bytes.length buf)
 
 let copy_range t ~src_proc ~dst_proc a ~len =
-  let r = validate_range t a len in
-  let src = Region.backing_for r ~proc:src_proc in
-  let dst = Region.backing_for r ~proc:dst_proc in
-  let off = a - Region.base r in
+  let src, off = range_buffer t ~proc:src_proc a ~len in
+  let dst, _ = range_buffer t ~proc:dst_proc a ~len in
   Bytes.blit src off dst off len
 
-let backing_slice t ~proc a ~len =
-  let r = validate_range t a len in
-  (Region.backing_for r ~proc, a - Region.base r)
+let backing_slice = range_buffer
 
 let ranges_equal t ~proc_a ~proc_b a ~len =
-  let r = validate_range t a len in
-  let ba = Region.backing_for r ~proc:proc_a in
-  let bb = Region.backing_for r ~proc:proc_b in
-  let off = a - Region.base r in
+  let ba, off = range_buffer t ~proc:proc_a a ~len in
+  let bb, _ = range_buffer t ~proc:proc_b a ~len in
   (* word-wise comparison with a byte-wise tail *)
   let words = len / 8 in
   let rec words_eq i =

@@ -5,7 +5,10 @@
     size, and where allocations live.  The *contents* of memory are
     per-processor (see {!Region.backing_for}); a value written by
     processor 0 is not visible to processor 1 until the DSM protocol
-    ships it.
+    ships it.  A processor's copy of a region is sized to the region's
+    allocated extent and grows on demand, so a 16 MiB region costs each
+    processor only what is allocated in it; every mapped address still
+    reads as zero until written.
 
     Addresses are plain [int] byte addresses.  Region 0 is never mapped,
     so address 0 is always invalid — a convenient null. *)
@@ -40,7 +43,8 @@ val alloc : t -> kind:Region.kind -> ?line_size:int -> ?align:int -> int -> addr
     alignment [max 8 line_size]), opening a new region when the current
     one is full.  Allocations never span regions.  Returns the base
     address.  Raises [Invalid_argument] if [bytes] exceeds the region
-    size or is non-positive. *)
+    size or is non-positive.  Copies nothing: processors' copies of the
+    region grow lazily, on their next access past the old extent. *)
 
 val region_of_addr : t -> addr -> Region.t
 (** Region containing [addr]; raises {!Unmapped}. *)
@@ -83,7 +87,10 @@ val backing_slice : t -> proc:int -> addr -> len:int -> Bytes.t * int
     offset of [addr] within it — a zero-copy view for read-only
     consumers (e.g. the VM diff engine).  The caller must not mutate the
     buffer, and must not hold it across simulated writes it wants to be
-    isolated from. *)
+    isolated from.  The buffer covers the whole range and stays the
+    processor's live copy until that copy next grows (an access past
+    its end, typically after an {!alloc} extended the region), so hold
+    it only within one operation. *)
 
 val write_bytes : t -> proc:int -> addr -> Bytes.t -> unit
 (** Copy a buffer into the processor's memory. *)

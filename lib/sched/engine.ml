@@ -3,7 +3,7 @@ type proc = {
   mutable clock : int;
   mutable finished : bool;
   mutable killed : bool;
-  mutable blocked_reason : string option;
+  mutable blocked_reason : (unit -> string) option;  (* rendered only when read *)
 }
 
 (* Tie-break policy: which runnable fiber goes first when several are
@@ -174,7 +174,10 @@ let start_fiber t p body =
                       Midway_util.Minheap.push t.runq ~key:at (fun () ->
                           if at > q.clock then q.clock <- at;
                           (match t.block_observer with
-                          | Some f -> f ~proc:q.id ~reason ~blocked_at ~woke_at:q.clock
+                          | Some f ->
+                              f ~proc:q.id
+                                ~reason:(Option.map (fun r -> r ()) reason)
+                                ~blocked_at ~woke_at:q.clock
                           | None -> ());
                           continue k ())))
           | _ -> None);
@@ -261,7 +264,7 @@ let run t =
             |> List.map (fun p ->
                    Printf.sprintf "p%d@%dns%s" p.id p.clock
                      (match p.blocked_reason with
-                     | Some r -> Printf.sprintf " (blocked in %s)" r
+                     | Some r -> Printf.sprintf " (blocked in %s)" (r ())
                      | None -> ""))
             |> String.concat ", "
           in

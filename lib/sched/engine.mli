@@ -125,17 +125,19 @@ val yield : proc -> unit
     first.  Every protocol action (lock acquire/release, barrier) must
     yield before inspecting shared protocol state. *)
 
-val block : ?reason:string -> proc -> setup:(wake:(at:int -> unit) -> unit) -> unit
+val block : ?reason:(unit -> string) -> proc -> setup:(wake:(at:int -> unit) -> unit) -> unit
 (** [block p ~setup] suspends the fiber. [setup] runs immediately (still
     on the fiber's stack, before suspension completes) and must arrange
     for [wake ~at] to be called exactly once later, from some other
     fiber; the blocked fiber then resumes with its clock advanced to at
     least [at].  Waking twice raises [Invalid_argument] at the waker.
 
-    [reason] describes what the fiber is waiting on (e.g. ["acquire lock
+    [reason] renders what the fiber is waiting on (e.g. ["acquire lock
     3"]); it is cleared on wake and included in the {!Deadlock} message
     for every still-blocked processor, so fault-induced hangs are
-    diagnosable at a glance. *)
+    diagnosable at a glance.  It is called only when read (a deadlock
+    message, or the block observer at wake), so a block costs no
+    formatting; it must capture the values it prints at block time. *)
 
 val run : t -> unit
 (** Execute all spawned fibers to completion.  Raises {!Deadlock} if the

@@ -4,6 +4,9 @@
 
 module Config = Midway.Config
 module Apps = Midway_apps
+module Suite = Midway_report.Suite
+module Space = Midway_memory.Space
+module Region = Midway_memory.Region
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -111,6 +114,47 @@ let test_determinism () =
     (Midway.Runtime.elapsed_ns o.Apps.Outcome.machine, Apps.Outcome.data_received_kb_per_proc o)
   in
   Alcotest.(check bool) "identical reruns" true (run () = run ())
+
+(* --- per-processor footprint -------------------------------------------- *)
+
+(* Large-N guard: every processor's copy of a region and its dirtybit
+   table are sized to the allocated extent, so 64 processors cost what
+   their data costs (reservation-sized state took seconds and GBs). *)
+let large_n_tests =
+  List.map
+    (fun (app, backend) ->
+      let name = Printf.sprintf "%s %s np=64" (Suite.app_name app) (Config.backend_name backend) in
+      Alcotest.test_case name `Quick (fun () ->
+          check_ok name (Suite.run_app app (Config.make backend ~nprocs:64) ~scale:0.1)))
+    [ (Suite.Water, Config.Rt); (Suite.Matmul, Config.Vm) ]
+
+(* After a run, every materialised copy and dirtybit table covers at
+   most max(4 KiB, 2 x the region's allocated extent). *)
+let test_footprint_bounded () =
+  List.iter
+    (fun (app, backend) ->
+      let nprocs = 4 in
+      let name = Printf.sprintf "%s %s" (Suite.app_name app) (Config.backend_name backend) in
+      let o = Suite.run_app app (Config.make backend ~nprocs) ~scale:0.05 in
+      check_ok name o;
+      let m = o.Apps.Outcome.machine in
+      List.iter
+        (fun (r : Region.t) ->
+          let bound = max 4096 (2 * r.Region.used) in
+          for proc = 0 to nprocs - 1 do
+            let what = Printf.sprintf "%s region %d p%d" name r.Region.index proc in
+            let copy = Region.capacity r ~proc in
+            if copy > bound then Alcotest.failf "%s: copy of %d bytes > %d" what copy bound;
+            let table = Midway.Runtime.dirtybit_table_lines m ~proc r * r.Region.line_size in
+            if table > bound then Alcotest.failf "%s: table covers %d bytes > %d" what table bound
+          done)
+        (Space.regions (Midway.Runtime.space m)))
+    [
+      (Suite.Quicksort, Config.Rt);
+      (Suite.Water, Config.Rt);
+      (Suite.Cholesky, Config.Vm_fine);
+      (Suite.Sor, Config.Vm);
+    ]
 
 (* --- cholesky symbolic analysis ------------------------------------------- *)
 
@@ -237,6 +281,10 @@ let () =
             test_rt_ships_less_than_vm_on_cholesky;
           Alcotest.test_case "runs are deterministic" `Quick test_determinism;
         ] );
+      ( "footprint",
+        large_n_tests
+        @ [ Alcotest.test_case "copies and tables sized to the extent" `Quick test_footprint_bounded ]
+      );
       ( "cholesky-symbolic",
         [
           Alcotest.test_case "test matrix diagonally dominant" `Quick test_laplacian_spd_shape;

@@ -290,46 +290,72 @@ let two_level_equals_plain =
       in
       result plain = result two)
 
-(* Satellite of the hot-path overhaul: the run-coalesced scan must be an
-   emission-batching change only.  For random write patterns, in every
-   trapping mode, the runs expanded back to lines must equal a per-line
-   oracle (covered addresses, timestamps, freshness), the runs must be
-   structurally sound (line-aligned, len = lines * line_size), and the
-   scan_counts must match the per-line model. *)
+(* The run-coalesced scan must be an emission-batching change only.
+   For random write patterns, in every trapping mode, the runs expanded
+   back to lines must equal a per-line oracle (covered addresses,
+   timestamps, freshness), the runs must be structurally sound
+   (line-aligned, len = lines * line_size), and the scan_counts must
+   match the per-line model.  The region is 8192 lines of 8 bytes and
+   its tables start at 512 lines, so writes and scans reach well past
+   the initial capacity and the tables grow under the oracle; a round
+   may reset the region after growth; a scan stops at a random line or
+   exactly at the table's end; and Two_level runs with a power-of-two
+   group (4) and with 48, whose groups straddle the table's end and
+   must still be checked only when the scan covers them whole. *)
 let scan_matches_per_line_oracle =
+  let nlines = 2048 in
   QCheck.Test.make ~name:"coalesced scan equals the per-line oracle" ~count:300
     QCheck.(
-      triple
-        (list_of_size Gen.(int_range 0 12) (pair (int_bound 63) (int_range 1 24)))
-        (int_bound 2) (int_bound 3))
-    (fun (writes, mode_idx, rounds) ->
-      let mode =
-        List.nth [ Config.Plain; Config.Two_level; Config.Update_queue ] mode_idx
+      quad
+        (list_of_size Gen.(int_range 0 12) (pair (int_bound (nlines - 1)) (int_range 1 24)))
+        (int_bound 3) (int_bound 3)
+        (pair (int_bound 1000) (int_bound 1000)))
+    (fun (writes, mode_idx, rounds, (scan_seed, reset_seed)) ->
+      let mode, group =
+        List.nth
+          [ (Config.Plain, 4); (Config.Two_level, 4); (Config.Two_level, 48);
+            (Config.Update_queue, 4) ]
+          mode_idx
       in
-      let region = make_region () in
-      let db = Dirtybits.create ~mode ~group:4 in
+      let region =
+        Region.create ~index:1 ~kind:Region.Shared ~line_size:8 ~region_size:65536 ~nprocs:1
+      in
+      let db = Dirtybits.create ~mode ~group in
       let base = Region.base region in
-      let nlines = 64 in
-      (* scan 64 lines of 8 bytes *)
       let model = Array.make nlines Timestamp.initial in
+      let dirty_model = Array.make nlines false in
       let ok = ref true in
       let fail () = ok := false in
       for round = 0 to rounds do
-        let dirtied = Array.make nlines false in
+        (* the backend-switch path, after the table has grown *)
+        if round > 0 && (reset_seed + round) mod 3 = 0 then begin
+          Dirtybits.reset_region db region;
+          Array.fill model 0 nlines Timestamp.initial;
+          Array.fill dirty_model 0 nlines false
+        end;
         List.iter
           (fun (off, len) ->
+            (* each round writes elsewhere, so earlier stamps are left
+               behind and later rounds can grow the table *)
+            let off = (off + (round * 517)) mod nlines in
+            let len = min len ((nlines - off) * 8) in
             Dirtybits.note_write db ~region ~addr:(base + (off * 8)) ~len;
-            let last = ((off * 8) + len - 1) / 8 in
-            for l = off to min last (nlines - 1) do
-              dirtied.(l) <- true
+            for l = off to ((off * 8) + len - 1) / 8 do
+              dirty_model.(l) <- true
             done)
           writes;
+        (* lines [0, n): from a few lines to the whole span, or up to
+           the table's current end *)
+        let n =
+          if (scan_seed + round) mod 3 = 0 then max 1 (Dirtybits.table_lines db region)
+          else 1 + ((scan_seed * (round + 7)) mod nlines)
+        in
         let stamp = 100 + round and cursor = 90 + round in
         let runs = ref [] in
         let counts =
           Dirtybits.scan db
             ~region_of:(fun _ -> region)
-            ~ranges:[ Range.v base (nlines * 8) ]
+            ~ranges:[ Range.v base (n * 8) ]
             ~stamp ~select:(Dirtybits.Transfer cursor)
             ~emit:(fun ~addr ~len ~ts ~fresh ~lines ->
               runs := (addr, len, ts, fresh, lines) :: !runs)
@@ -349,18 +375,22 @@ let scan_matches_per_line_oracle =
         in
         match mode with
         | Config.Update_queue ->
-            (* every line written this round emits exactly once, stamped
-               fresh (the whole queue drains: the range covers it) *)
+            (* every queued line inside the scan emits exactly once,
+               stamped fresh; queued lines beyond it stay queued *)
             let expected = ref [] in
-            for l = nlines - 1 downto 0 do
-              if dirtied.(l) then expected := (base + (l * 8), stamp, true) :: !expected
+            for l = n - 1 downto 0 do
+              if dirty_model.(l) then begin
+                dirty_model.(l) <- false;
+                expected := (base + (l * 8), stamp, true) :: !expected
+              end
             done;
             if List.sort compare expanded <> List.sort compare !expected then fail ()
         | Config.Plain | Config.Two_level ->
             let expected = ref [] and clean = ref 0 and dirty = ref 0 in
-            for l = 0 to nlines - 1 do
-              if dirtied.(l) then begin
+            for l = 0 to n - 1 do
+              if dirty_model.(l) then begin
                 incr dirty;
+                dirty_model.(l) <- false;
                 model.(l) <- stamp;
                 if stamp > cursor then expected := (base + (l * 8), stamp, true) :: !expected
               end
@@ -378,13 +408,23 @@ let scan_matches_per_line_oracle =
             | Config.Plain ->
                 if counts.Dirtybits.clean_reads <> !clean then fail ()
             | Config.Two_level ->
+                (* the first level applies to exactly the whole groups *)
+                if counts.Dirtybits.group_checks <> n / group then fail ();
                 if
                   counts.Dirtybits.clean_reads + counts.Dirtybits.dirty_reads
-                  + (4 * counts.Dirtybits.groups_skipped)
-                  <> nlines
+                  + (group * counts.Dirtybits.groups_skipped)
+                  <> n
                 then fail ()
             | Config.Update_queue -> ())
       done;
+      (* the timestamps left behind match the oracle, past the scans too *)
+      (match mode with
+      | Config.Plain | Config.Two_level ->
+          for l = 0 to nlines - 1 do
+            let want = if dirty_model.(l) then Timestamp.locally_dirty else model.(l) in
+            if Dirtybits.line_ts db ~region ~addr:(base + (l * 8)) <> want then fail ()
+          done
+      | Config.Update_queue -> ());
       !ok)
 
 let test_update_queue_mode () =

@@ -170,6 +170,16 @@ let test_fuzzer_shrinks_racy_to_empty () =
          go 0)
   | l -> Alcotest.fail (Printf.sprintf "expected exactly one failure, got %d" (List.length l))
 
+(* The crashy workload on rt with ECSan, 1% drops and a seeded crash
+   plan, under a seeded schedule. *)
+let crashy_run ~sseed ~cseed =
+  let plan = Midway_simnet.Crash.seeded ~seed:cseed ~nprocs:4 ~events:2 ~horizon_ns:600_000 in
+  let cfg = Config.make Config.Rt ~nprocs:4 in
+  let cfg = { cfg with Config.ecsan = true; sched_policy = Engine.Seeded sseed } in
+  let cfg = Config.with_faults ~drop:0.01 ~seed:(sseed lxor 0x5A5A) cfg in
+  let cfg = Config.with_crash plan cfg in
+  Explore.execute (Workload.crashy ~iters:4) cfg
+
 (* Satellite: the determinism contract over the full fault space — a
    (workload seed, schedule seed, fault seed, crash schedule) tuple
    yields a bit-identical run digest across two executions.  The crashy
@@ -180,17 +190,7 @@ let runs_are_deterministic_under_crash_faults =
     ~name:"(workload, schedule, fault, crash) tuples replay bit-identically" ~count:6
     QCheck.(pair (int_bound 1000) (int_bound 1000))
     (fun (sseed, cseed) ->
-      let plan =
-        Midway_simnet.Crash.seeded ~seed:cseed ~nprocs:4 ~events:2 ~horizon_ns:600_000
-      in
-      let w = Workload.crashy ~iters:4 in
-      let run () =
-        let cfg = Config.make Config.Rt ~nprocs:4 in
-        let cfg = { cfg with Config.ecsan = true; sched_policy = Engine.Seeded sseed } in
-        let cfg = Config.with_faults ~drop:0.01 ~seed:(sseed lxor 0x5A5A) cfg in
-        let cfg = Config.with_crash plan cfg in
-        Explore.execute w cfg
-      in
+      let run () = crashy_run ~sseed ~cseed in
       let a = run () and b = run () in
       if a.Explore.j_digest = "" then
         QCheck.Test.fail_reportf "sseed=%d cseed=%d: no digest (%s)" sseed cseed
@@ -200,6 +200,19 @@ let runs_are_deterministic_under_crash_faults =
         QCheck.Test.fail_reportf "sseed=%d cseed=%d: %S / %S vs %S / %S" sseed cseed
           a.Explore.j_digest a.Explore.j_reason b.Explore.j_digest b.Explore.j_reason;
       true)
+
+(* A crash-stopped owner whose clock lags its peers can reach [release]
+   after a peer has already failed the lock over to itself.  These
+   (schedule seed, crash seed) tuples once died with "Runtime.release:
+   lock 0 not held by p0"; (124, 35) is [stop@116688:p0]. *)
+let test_release_after_failover () =
+  List.iter
+    (fun (sseed, cseed) ->
+      let j = crashy_run ~sseed ~cseed in
+      let what = Printf.sprintf "sseed=%d cseed=%d" sseed cseed in
+      Alcotest.(check string) (what ^ ": clean run") "" j.Explore.j_reason;
+      Alcotest.(check bool) (what ^ ": digest recorded") true (j.Explore.j_digest <> ""))
+    [ (124, 35); (224, 779) ]
 
 (* The crash-event shrinker, against a pure predicate. *)
 let test_shrink_crash_deletes_to_minimum () =
@@ -360,6 +373,8 @@ let () =
         [
           qtest random_programs_converge;
           qtest runs_are_deterministic_under_crash_faults;
+          Alcotest.test_case "release after a peer failed the lock over" `Quick
+            test_release_after_failover;
           Alcotest.test_case "ecgen deterministic" `Quick test_ecgen_deterministic;
         ] );
       ( "record/replay",

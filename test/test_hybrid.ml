@@ -206,54 +206,76 @@ let test_update_queue_bookkeeping () =
 (* --- the space accessor cache ------------------------------------------- *)
 
 let test_space_cache_coherence () =
-  let space = Space.create ~region_size:4096 ~nprocs:2 () in
-  (* three full regions: each 4096-byte allocation fills one *)
-  let a = Space.alloc space ~kind:Region.Shared ~line_size:64 4096 in
-  let b = Space.alloc space ~kind:Region.Shared ~line_size:64 4096 in
-  let c = Space.alloc space ~kind:Region.Shared ~line_size:64 4096 in
+  let rs = 65536 in
+  let space = Space.create ~region_size:rs ~nprocs:2 () in
+  (* a region that keeps growing by allocation while the caches are hot:
+     each processor's copy starts at 4 KiB and is replaced as it grows *)
+  let g = Space.alloc space ~kind:Region.Shared ~line_size:8 64 in
+  let g_region = Space.region_of_addr space g in
+  let g_used () = g_region.Region.used - (g - Region.base g_region) in
+  (* three full regions: each [rs]-byte allocation fills one *)
+  let a = Space.alloc space ~kind:Region.Shared ~line_size:64 rs in
+  let b = Space.alloc space ~kind:Region.Shared ~line_size:64 rs in
+  let c = Space.alloc space ~kind:Region.Shared ~line_size:64 rs in
   let areas = [| a; b; c |] in
-  Alcotest.(check bool) "three distinct regions" true (a <> b && b <> c);
-  (* interleave processors and regions so every access churns the
-     per-processor last-hit cache, and mirror into a host-side model *)
+  Alcotest.(check bool) "four distinct regions" true (a <> b && b <> c && g < a);
+  (* interleave processors, regions and allocations so every access
+     churns the per-processor last-hit cache, and mirror into a
+     host-side model *)
   let model = Hashtbl.create 64 in
   let lcg = ref 12345 in
   let next () =
     lcg := ((!lcg * 1103515245) + 12_345) land 0x3FFFFFFF;
-    !lcg
+    (* the low bits of a power-of-two LCG have short periods *)
+    !lcg lsr 8
   in
-  for _ = 1 to 2_000 do
+  for _ = 1 to 4_000 do
     let proc = next () mod 2 in
-    let addr = areas.(next () mod 3) + (next () mod 512 * 8) in
-    if next () mod 3 = 0 then begin
-      let v = next () in
-      Space.set_int space ~proc addr v;
-      Hashtbl.replace model (proc, addr) v
+    if next () mod 16 = 0 && g_region.Region.used + 2048 <= rs then
+      ignore (Space.alloc space ~kind:Region.Shared ~line_size:8 (1 + (next () mod 2048)))
+    else begin
+      let addr =
+        match next () mod 4 with
+        | 3 ->
+            (* anywhere in the growing area, or just past its extent *)
+            g + (next () mod ((g_used () + 64) / 8) * 8)
+        | i -> areas.(i) + (next () mod 512 * 8)
+      in
+      if next () mod 3 = 0 then begin
+        let v = next () in
+        Space.set_int space ~proc addr v;
+        Hashtbl.replace model (proc, addr) v
+      end
+      else
+        let expect = match Hashtbl.find_opt model (proc, addr) with Some v -> v | None -> 0 in
+        Alcotest.(check int) "cached read == model" expect (Space.get_int space ~proc addr)
     end
-    else
-      let expect = match Hashtbl.find_opt model (proc, addr) with Some v -> v | None -> 0 in
-      Alcotest.(check int) "cached read == model" expect (Space.get_int space ~proc addr)
   done;
+  Alcotest.(check bool) "the growing region grew" true
+    (Region.capacity g_region ~proc:0 > 4096 && Region.capacity g_region ~proc:1 > 4096);
   (* full sweep: the cache must never have served one processor another
-     processor's backing, or one region another's *)
+     processor's backing, one region another's, or a stale copy *)
   Hashtbl.iter
     (fun (proc, addr) v ->
-      Alcotest.(check int) "final sweep" v (Space.get_int space ~proc addr))
+      Alcotest.(check int) "final sweep" v (Space.get_int space ~proc addr);
+      Alcotest.(check int) "range path agrees" v
+        (Int64.to_int (Bytes.get_int64_le (Space.read_bytes space ~proc addr ~len:8) 0)))
     model;
   (* boundary probes with a hot cache: in-region limits work, crossers
      and runs off the map fail loudly *)
-  ignore (Space.get_int space ~proc:0 (a + 4096 - 8));
-  (match Space.read_bytes space ~proc:0 (a + 4088) ~len:16 with
+  ignore (Space.get_int space ~proc:0 (a + rs - 8));
+  (match Space.read_bytes space ~proc:0 (a + rs - 8) ~len:16 with
   | _ -> Alcotest.fail "read across the a/b boundary must raise"
   | exception Space.Crosses_region { addr; len; last } ->
-      Alcotest.(check int) "crosser addr" (a + 4088) addr;
+      Alcotest.(check int) "crosser addr" (a + rs - 8) addr;
       Alcotest.(check int) "crosser len" 16 len;
-      Alcotest.(check int) "crosser last" (a + 4103) last);
-  (match Space.backing_slice space ~proc:1 (b + 4000) ~len:200 with
+      Alcotest.(check int) "crosser last" (a + rs + 7) last);
+  (match Space.backing_slice space ~proc:1 (b + rs - 96) ~len:200 with
   | _ -> Alcotest.fail "slice across the b/c boundary must raise"
   | exception Space.Crosses_region _ -> ());
-  match Space.validate_range space (c + 4088) 16 with
+  match Space.validate_range space (c + rs - 8) 16 with
   | _ -> Alcotest.fail "running off mapped memory must raise"
-  | exception Space.Unmapped last -> Alcotest.(check int) "unmapped last" (c + 4103) last
+  | exception Space.Unmapped last -> Alcotest.(check int) "unmapped last" (c + rs + 7) last
 
 (* --- VM zero-copy collect at a region boundary -------------------------- *)
 

@@ -26,12 +26,29 @@ let test_region_geometry () =
 let test_region_lazy_backing () =
   let r = Region.create ~index:1 ~kind:Region.Shared ~line_size:8 ~region_size:1024 ~nprocs:3 in
   Alcotest.(check bool) "untouched" false (Region.touched r ~proc:0);
-  let b = Region.backing_for r ~proc:0 in
+  let b = Region.backing_for r ~proc:0 ~upto:0 in
   Alcotest.(check int) "zero filled, right size" 1024 (Bytes.length b);
   Alcotest.(check bool) "now touched" true (Region.touched r ~proc:0);
   Alcotest.(check bool) "other processors untouched" false (Region.touched r ~proc:1);
   Bytes.set b 0 'x';
-  Alcotest.(check char) "same buffer returned" 'x' (Bytes.get (Region.backing_for r ~proc:0) 0)
+  Alcotest.(check char) "same buffer returned" 'x' (Bytes.get (Region.backing_for r ~proc:0 ~upto:0) 0)
+
+(* A copy covers the allocated extent, not the whole region: the next
+   power of two, at least 4 KiB, at most the region; it grows with
+   [used] and keeps what was written. *)
+let test_region_extent_sized_backing () =
+  let r = Region.create ~index:1 ~kind:Region.Shared ~line_size:8 ~region_size:65536 ~nprocs:2 in
+  Alcotest.(check int) "floor of 4 KiB" 4096 (Bytes.length (Region.backing_for r ~proc:0 ~upto:0));
+  Bytes.set (Region.backing_for r ~proc:0 ~upto:0) 100 'x';
+  r.Region.used <- 5000;
+  let b = Region.backing_for r ~proc:0 ~upto:0 in
+  Alcotest.(check int) "next power of two over used" 8192 (Bytes.length b);
+  Alcotest.(check char) "contents kept across growth" 'x' (Bytes.get b 100);
+  Alcotest.(check bool) "growth zero-fills" true (Bytes.get b 5000 = '\000');
+  Alcotest.(check int) "upto the end" 65536 (Bytes.length (Region.backing_for r ~proc:0 ~upto:65000));
+  Alcotest.(check int) "never past the region" 65536 (Region.capacity r ~proc:0);
+  Alcotest.(check int) "other processor sized by used alone" 8192
+    (Bytes.length (Region.backing_for r ~proc:1 ~upto:0))
 
 (* --- Space allocator --------------------------------------------------- *)
 
@@ -187,6 +204,117 @@ let test_backing_slice_is_live () =
     Alcotest.fail "expected Unmapped"
   with Space.Unmapped 0 -> ()
 
+(* Every address of a mapped region reads as zero until written, past
+   the allocated extent and in the region's last bytes included, and
+   writes there persist — whatever size the processor's copy has. *)
+let test_reads_past_extent () =
+  let rs = 65536 in
+  let s = Space.create ~region_size:rs ~nprocs:3 () in
+  let a = Space.alloc s ~kind:Region.Shared ~line_size:8 100 in
+  let r = Space.region_of_addr s a in
+  let last8 = Region.limit r - 8 in
+  (* a word straddling the end of a hot 4 KiB copy grows it *)
+  Space.set_int s ~proc:2 a 1;
+  Space.set_int s ~proc:2 (Region.base r + 4092) 5;
+  Alcotest.(check int) "word across the copy's end" 5
+    (Space.get_int s ~proc:2 (Region.base r + 4092));
+  Alcotest.(check int) "copy grew past it" 8192 (Region.capacity r ~proc:2);
+  Space.set_int s ~proc:0 a 42;
+  Alcotest.(check int) "copy starts at 4 KiB" 4096 (Region.capacity r ~proc:0);
+  Alcotest.(check int) "past used reads zero" 0 (Space.get_int s ~proc:0 (a + 8000));
+  Alcotest.(check int) "last 8 bytes read zero" 0 (Space.get_int s ~proc:0 last8);
+  Alcotest.(check int) "last byte reads zero" 0 (Space.get_u8 s ~proc:1 (Region.limit r - 1));
+  Space.set_int s ~proc:0 last8 7;
+  Space.set_u8 s ~proc:1 (Region.limit r - 1) 9;
+  Space.set_i32 s ~proc:1 (Region.limit r - 8) 5l;
+  Space.set_int s ~proc:0 (a + 8000) 11;
+  Alcotest.(check int) "last word persists" 7 (Space.get_int s ~proc:0 last8);
+  Alcotest.(check int) "last byte persists" 9 (Space.get_u8 s ~proc:1 (Region.limit r - 1));
+  Alcotest.(check int32) "last i32 persists" 5l (Space.get_i32 s ~proc:1 (Region.limit r - 8));
+  Alcotest.(check int) "past-used write persists" 11 (Space.get_int s ~proc:0 (a + 8000));
+  Alcotest.(check int) "earlier write survives growth" 42 (Space.get_int s ~proc:0 a);
+  Alcotest.(check int) "grown to the whole region" rs (Region.capacity r ~proc:0);
+  (* unaligned words in the last bytes: inside the region they work,
+     across its end they fail as before *)
+  Space.set_int s ~proc:1 (last8 - 3) 123;
+  Alcotest.(check int) "unaligned tail word" 123 (Space.get_int s ~proc:1 (last8 - 3));
+  Alcotest.(check bool) "a word running off the region still fails" true
+    (match Space.get_int s ~proc:1 (last8 + 4) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A processor caches a region's copy; a later allocation grows the
+   region and an access past the old copy replaces it.  The cache must
+   then serve the new buffer — old values intact, new ones visible on
+   every path (typed, range, zero-copy). *)
+let test_growth_after_cache () =
+  let s = Space.create ~region_size:65536 ~nprocs:2 () in
+  let a = Space.alloc s ~kind:Region.Shared ~line_size:8 64 in
+  let r = Space.region_of_addr s a in
+  Space.set_int s ~proc:0 a 1;
+  Alcotest.(check int) "cached at 4 KiB" 4096 (Region.capacity r ~proc:0);
+  let b = Space.alloc s ~kind:Region.Shared ~line_size:8 20000 in
+  Alcotest.(check bool) "same region" true ((Space.region_of_addr s b).Region.index = r.Region.index);
+  Alcotest.(check int) "allocation alone copies nothing" 4096 (Region.capacity r ~proc:0);
+  Alcotest.(check int) "hot cache still serves the old copy" 1 (Space.get_int s ~proc:0 a);
+  Space.set_int s ~proc:0 (b + 19992) 2;
+  Alcotest.(check int) "grown past used" 32768 (Region.capacity r ~proc:0);
+  Space.set_int s ~proc:0 a 3;
+  Alcotest.(check int) "cache serves the new buffer" 3 (Space.get_int s ~proc:0 a);
+  Alcotest.(check int) "range path sees the same buffer" 3
+    (Int64.to_int (Bytes.get_int64_le (Space.read_bytes s ~proc:0 a ~len:8) 0));
+  let buf, off = Space.backing_slice s ~proc:0 a ~len:8 in
+  Alcotest.(check int) "zero-copy slice is the live buffer" 3
+    (Int64.to_int (Bytes.get_int64_le buf off));
+  Alcotest.(check int) "far write visible" 2 (Space.get_int s ~proc:0 (b + 19992))
+
+(* copy_range, ranges_equal and backing_slice with one side grown and
+   the other small or untouched. *)
+let test_ranges_across_growth () =
+  let s = Space.create ~region_size:65536 ~nprocs:3 () in
+  let a = Space.alloc s ~kind:Region.Shared ~line_size:8 64 in
+  let r = Space.region_of_addr s a in
+  ignore (Space.get_int s ~proc:1 a);
+  let far = Space.alloc s ~kind:Region.Shared ~line_size:8 30000 + 29000 in
+  Space.write_bytes s ~proc:0 far (Bytes.of_string "grown copy");
+  Alcotest.(check int) "p1 still small" 4096 (Region.capacity r ~proc:1);
+  Alcotest.(check bool) "differs before the copy" false
+    (Space.ranges_equal s ~proc_a:0 ~proc_b:1 far ~len:10);
+  Alcotest.(check bool) "zeros compare equal past a small copy" true
+    (Space.ranges_equal s ~proc_a:1 ~proc_b:2 (far + 100) ~len:64);
+  Space.copy_range s ~src_proc:0 ~dst_proc:1 far ~len:10;
+  Alcotest.(check bool) "copy grew the destination" true (Region.capacity r ~proc:1 >= 32768);
+  Alcotest.(check bool) "equal after the copy" true
+    (Space.ranges_equal s ~proc_a:0 ~proc_b:1 far ~len:10);
+  let buf, off = Space.backing_slice s ~proc:1 far ~len:10 in
+  Alcotest.(check string) "slice of the grown copy" "grown copy" (Bytes.sub_string buf off 10);
+  (* p1's cache held its 4 KiB copy; the range operations replaced it *)
+  Space.set_int s ~proc:1 a 77;
+  Alcotest.(check int) "typed write lands in the grown copy" 77
+    (Int64.to_int (Bytes.get_int64_le (Space.read_bytes s ~proc:1 a ~len:8) 0));
+  (* copying from an untouched processor writes zeros *)
+  Space.copy_range s ~src_proc:2 ~dst_proc:1 far ~len:5;
+  Alcotest.(check string) "zeros copied" "\000\000\000\000\000 copy"
+    (Bytes.to_string (Space.read_bytes s ~proc:1 far ~len:10))
+
+(* Touching is per processor and only an access touches: allocation and
+   other processors' growth leave an untouched copy untouched. *)
+let test_touched_unchanged () =
+  let s = Space.create ~region_size:65536 ~nprocs:3 () in
+  let a = Space.alloc s ~kind:Region.Shared ~line_size:8 64 in
+  let r = Space.region_of_addr s a in
+  Alcotest.(check bool) "fresh region untouched" false (Region.touched r ~proc:0);
+  Space.set_int s ~proc:0 a 1;
+  ignore (Space.alloc s ~kind:Region.Shared ~line_size:8 40000);
+  Space.set_int s ~proc:0 (a + 39000) 1;
+  Alcotest.(check bool) "writer touched" true (Region.touched r ~proc:0);
+  Alcotest.(check bool) "others untouched" false
+    (Region.touched r ~proc:1 || Region.touched r ~proc:2);
+  ignore (Space.get_int s ~proc:1 a);
+  Alcotest.(check bool) "a read touches" true (Region.touched r ~proc:1);
+  Alcotest.(check int) "and materialises the extent" 65536 (Region.capacity r ~proc:1);
+  Alcotest.(check bool) "the third still untouched" false (Region.touched r ~proc:2)
+
 let test_regions_listed_in_order () =
   let s = Space.create ~nprocs:1 () in
   ignore (Space.alloc s ~kind:Region.Shared ~line_size:8 16);
@@ -213,6 +341,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_region_create_validation;
           Alcotest.test_case "geometry" `Quick test_region_geometry;
           Alcotest.test_case "lazy backing" `Quick test_region_lazy_backing;
+          Alcotest.test_case "extent-sized backing" `Quick test_region_extent_sized_backing;
         ] );
       ( "allocator",
         [
@@ -233,5 +362,9 @@ let () =
           Alcotest.test_case "bytes and copy_range" `Quick test_bytes_and_copy_range;
           Alcotest.test_case "backing_slice is live" `Quick test_backing_slice_is_live;
           qtest ranges_equal_matches_bytewise;
+          Alcotest.test_case "reads past the extent" `Quick test_reads_past_extent;
+          Alcotest.test_case "growth after the cache" `Quick test_growth_after_cache;
+          Alcotest.test_case "ranges across growth" `Quick test_ranges_across_growth;
+          Alcotest.test_case "touched unchanged" `Quick test_touched_unchanged;
         ] );
     ]

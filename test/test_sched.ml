@@ -84,10 +84,10 @@ let test_deadlock_blocked_reason () =
   let e = Engine.create ~nprocs:3 () in
   let waker = ref None in
   Engine.spawn e 0 (fun p ->
-      Engine.block p ~reason:"acquire of lock 7" ~setup:(fun ~wake:_ -> ()));
+      Engine.block p ~reason:(fun () -> "acquire of lock 7") ~setup:(fun ~wake:_ -> ()));
   Engine.spawn e 1 (fun p ->
       (* woken once, then wedged with no reason given *)
-      Engine.block p ~reason:"first wait" ~setup:(fun ~wake -> waker := Some wake);
+      Engine.block p ~reason:(fun () -> "first wait") ~setup:(fun ~wake -> waker := Some wake);
       Engine.block p ~setup:(fun ~wake:_ -> ()));
   Engine.spawn e 2 (fun p ->
       Engine.charge p 5;
@@ -309,7 +309,7 @@ let test_policy_negative_replay_rejected () =
 
 let test_policy_deadlock_reports_seed () =
   let e = Engine.create ~policy:(Engine.Seeded 7) ~nprocs:2 () in
-  Engine.spawn e 0 (fun p -> Engine.block ~reason:"never woken" p ~setup:(fun ~wake:_ -> ()));
+  Engine.spawn e 0 (fun p -> Engine.block ~reason:(fun () -> "never woken") p ~setup:(fun ~wake:_ -> ()));
   Engine.spawn e 1 (fun p -> Engine.yield p);
   match Engine.run e with
   | () -> Alcotest.fail "expected a deadlock"
